@@ -24,7 +24,9 @@ use xmem_core::{Analyzer, Orchestrator, Simulator};
 use xmem_models::ModelId;
 use xmem_optim::OptimizerKind;
 use xmem_runtime::{profile_on_cpu, GpuDevice, TrainJobSpec};
-use xmem_service::{EstimationService, ServiceConfig, ShardedLruCache, Telemetry, TelemetryConfig};
+use xmem_service::{
+    EstimationService, ServiceConfig, ShardedLruCache, Telemetry, TelemetryConfig, TraceContext,
+};
 
 /// One timed benchmark.
 #[derive(Debug, Serialize)]
@@ -160,12 +162,14 @@ fn register_fleet(service: &EstimationService) {
 fn matrix_replay(service: &EstimationService, name: &str) -> Benchmark {
     let jobs = jobs();
     for job in &jobs {
-        service.stages(job).expect("benchmark jobs analyze");
+        service
+            .stages(job, &TraceContext::disabled())
+            .expect("benchmark jobs analyze");
     }
     let names: Vec<&str> = FLEET.to_vec();
     let started = Instant::now();
     let matrix = service
-        .estimate_matrix(&jobs, &names)
+        .estimate_matrix(&jobs, &names, &TraceContext::disabled())
         .expect("fleet is registered");
     let total_ns = started.elapsed().as_nanos() as u64;
     finish(name, "cell", matrix.num_cells() as u64, total_ns)
@@ -221,14 +225,19 @@ fn main() {
     // --- single estimates -------------------------------------------------
     let single =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 8).with_iterations(2);
-    let service = EstimationService::for_device(GpuDevice::rtx3060());
+    let primary = GpuDevice::rtx3060();
+    let service = EstimationService::for_device(primary);
     let cold = bench("estimate_cold", "estimate", 1, || {
-        service.estimate(&single).expect("estimates");
+        service
+            .estimate(&single, primary, &TraceContext::disabled())
+            .expect("estimates");
     });
     let cold_ns = cold.ns_per_op;
     benchmarks.push(cold);
     let warm = bench("estimate_warm", "estimate", warm_reps, || {
-        service.estimate(&single).expect("estimates");
+        service
+            .estimate(&single, primary, &TraceContext::disabled())
+            .expect("estimates");
     });
     let warm_ns = warm.ns_per_op;
     benchmarks.push(warm);
@@ -242,7 +251,7 @@ fn main() {
         let telemetry = Telemetry::new(TelemetryConfig::default());
         let traced = bench("estimate_warm_traced", "estimate", warm_reps, || {
             let ctx = telemetry.begin_trace(None);
-            service.estimate_traced(&single, &ctx).expect("estimates");
+            service.estimate(&single, primary, &ctx).expect("estimates");
             telemetry.finish(&ctx, "BENCH", "/v1/estimate", 200, false);
         });
         let pct = (traced.ns_per_op - warm_ns) / warm_ns.max(1.0) * 100.0;
@@ -282,7 +291,7 @@ fn main() {
         let started = Instant::now();
         for _ in 0..reps {
             fast_service
-                .estimate_matrix(&jobs, &names)
+                .estimate_matrix(&jobs, &names, &TraceContext::disabled())
                 .expect("fleet is registered");
         }
         let total_ns = started.elapsed().as_nanos() as u64;
@@ -297,7 +306,7 @@ fn main() {
     {
         let device = GpuDevice::rtx3060();
         fast_service
-            .estimate_for_device(&single, device)
+            .estimate(&single, device, &TraceContext::disabled())
             .expect("warms the cell");
         let done = AtomicU64::new(0);
         let started = Instant::now();
@@ -306,7 +315,7 @@ fn main() {
                 scope.spawn(|| {
                     for _ in 0..hit_reps {
                         fast_service
-                            .estimate_for_device(&single, device)
+                            .estimate(&single, device, &TraceContext::disabled())
                             .expect("pure hit");
                     }
                     done.fetch_add(hit_reps, Ordering::Relaxed);
@@ -391,7 +400,9 @@ fn main() {
             "benchmark state dir must be usable"
         );
         for job in jobs() {
-            persisted.estimate(&job).expect("estimates");
+            persisted
+                .estimate(&job, primary, &TraceContext::disabled())
+                .expect("estimates");
         }
         let snapshot_reps: u64 = if quick { 20 } else { 100 };
         benchmarks.push(bench("snapshot_write", "snapshot", snapshot_reps, || {
@@ -406,7 +417,9 @@ fn main() {
 
         let rebooted = EstimationService::new(state_config());
         let started = Instant::now();
-        rebooted.estimate(&single).expect("estimates");
+        rebooted
+            .estimate(&single, primary, &TraceContext::disabled())
+            .expect("estimates");
         let total_ns = started.elapsed().as_nanos() as u64;
         let after_boot = finish("estimate_after_warm_boot", "estimate", 1, total_ns);
         assert_eq!(
@@ -435,7 +448,7 @@ fn main() {
             ServiceConfig::for_device(GpuDevice::rtx3060()).with_incremental_sweep(false),
         );
         let started = Instant::now();
-        let full_cells = full_sweep.sweep(&base, &batches);
+        let full_cells = full_sweep.sweep(&base, &batches, primary, &TraceContext::disabled());
         let full = finish(
             "sweep_full",
             "cell",
@@ -445,7 +458,7 @@ fn main() {
 
         let inc_sweep = EstimationService::for_device(GpuDevice::rtx3060());
         let started = Instant::now();
-        let inc_cells = inc_sweep.sweep(&base, &batches);
+        let inc_cells = inc_sweep.sweep(&base, &batches, primary, &TraceContext::disabled());
         let inc = finish(
             "sweep_incremental",
             "cell",

@@ -3,7 +3,9 @@
 //! executions; for SchedTune feature extraction + inference).
 //!
 //! Absolute numbers are not comparable with the paper's Python prototype
-//! on real hardware; the relative story is recorded in EXPERIMENTS.md.
+//! on real hardware. Campaigns share the service's caches by default;
+//! README.md ("Performance") describes `--uncached`, which reproduces
+//! the paper's standalone per-record runtimes.
 
 use std::fmt::Write as _;
 use xmem_bench::{campaign_records, write_artifact, BenchArgs, Setting};

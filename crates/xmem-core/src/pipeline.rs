@@ -2,7 +2,7 @@
 
 use crate::analyzer::{AnalyzedTrace, Analyzer, BlockCategory};
 use crate::orchestrator::{OrchestratedSequence, Orchestrator};
-use crate::param::{EventBuffer, ParamRejection, ParamReplay};
+use crate::param::EventBuffer;
 use crate::simulator::Simulator;
 use crate::EstimateError;
 use serde::{Deserialize, Serialize};
@@ -153,6 +153,23 @@ impl Estimator {
     /// the device-dependent orchestration + simulation stages.
     #[must_use]
     pub fn estimate_analyzed(&self, analyzed: &AnalyzedTrace) -> Estimate {
+        self.estimate_and_replay(analyzed).0
+    }
+
+    /// [`estimate_analyzed`](Self::estimate_analyzed), plus the job's
+    /// [`UnboundedReplay`] whenever this bounded replay provably *is* it:
+    /// with proactive garbage collection off, the allocator consults the
+    /// device's capacity only when a device allocation fails (reclaim,
+    /// then OOM), so a replay that never got there walked exactly the
+    /// unbounded trajectory. Serving layers keep it as a free fast-path
+    /// seed; it is `None` on a capacity-pressured device and for
+    /// configurations [`fast_path_capacity`](Self::fast_path_capacity)
+    /// rules out.
+    #[must_use]
+    pub fn estimate_and_replay(
+        &self,
+        analyzed: &AnalyzedTrace,
+    ) -> (Estimate, Option<UnboundedReplay>) {
         let sequence = self.config.orchestrator.orchestrate(analyzed);
 
         let device = &self.config.device;
@@ -170,15 +187,25 @@ impl Estimator {
         let job_peak = sim.peak_reserved;
         let peak_total = job_peak + device.framework_bytes + self.config.context_allowance;
         let oom_predicted = sim.oom || peak_total > device.capacity - device.init_bytes;
+        let stats = analysis_stats(analyzed, &sequence);
+        let unbounded =
+            (self.fast_path_capacity().is_some() && !sim.oom && sim.counters.num_reclaims == 0)
+                .then(|| UnboundedReplay {
+                    peak_reserved: sim.peak_reserved,
+                    peak_allocated: sim.peak_allocated,
+                    events: sequence.events.len(),
+                    stats: stats.clone(),
+                });
 
-        Estimate {
+        let estimate = Estimate {
             peak_bytes: peak_total,
             job_peak_bytes: job_peak,
             tensor_peak_bytes: sim.peak_allocated,
             oom_predicted,
             curve: sim.timeline,
-            stats: analysis_stats(analyzed, &sequence),
-        }
+            stats,
+        };
+        (estimate, unbounded)
     }
 
     /// Replays `analyzed` once against an **unbounded** device, producing
@@ -259,40 +286,14 @@ impl Estimator {
         })
     }
 
-    /// Whether this configuration admits the **incremental sweep** path:
-    /// replaying a [materialized](ParamReplay::materialize) event buffer
-    /// must be provably identical to the full per-batch pipeline.
-    /// Proactive garbage collection and timeline recording both read the
-    /// clock in ways a parameterized stream's nominal timestamps cannot
-    /// honor, so either rules the path out. (Unlike
-    /// [`fast_path_capacity`](Self::fast_path_capacity), page alignment
-    /// is irrelevant here: the materialized buffer is replayed through
-    /// the real bounded simulator, not derived arithmetically.)
-    #[must_use]
-    pub fn incremental_exact(&self) -> bool {
-        self.config.allocator.gc_threshold.is_none() && !self.config.record_timeline
-    }
-
-    /// Fits a [`ParamReplay`] from profiled anchors under this
-    /// estimator's orchestrator (see [`ParamReplay::fit`]).
-    ///
-    /// # Errors
-    /// Returns the fit's [`ParamRejection`] when the delta model cannot
-    /// be proven exact — callers fall back to full per-batch replays.
-    pub fn fit_param_replay(
-        &self,
-        anchors: &[(usize, &AnalyzedTrace)],
-    ) -> Result<ParamReplay, ParamRejection> {
-        ParamReplay::fit(&self.config.orchestrator, anchors)
-    }
-
     /// Estimates from a pre-orchestrated event buffer (the incremental
     /// sweep's bounded leg): replays it against this device exactly like
     /// [`estimate_analyzed`](Self::estimate_analyzed) replays a fresh
     /// orchestration, with `stats` standing in for the analysis-stage
-    /// diagnostics. Callers must hold the
-    /// [`incremental_exact`](Self::incremental_exact) gate, so no usage
-    /// curve is recorded.
+    /// diagnostics. A parameterized stream's timestamps are nominal, so
+    /// the result is exact only with proactive garbage collection off
+    /// (as under [`EstimatorConfig::for_device`]); no usage curve is
+    /// recorded.
     #[must_use]
     pub fn estimate_buffer(&self, buffer: &EventBuffer, stats: AnalysisStats) -> Estimate {
         let device = &self.config.device;
@@ -312,33 +313,6 @@ impl Estimator {
             tensor_peak_bytes: sim.peak_allocated,
             oom_predicted: sim.oom || peak_total > device.capacity - device.init_bytes,
             curve: Vec::new(),
-            stats,
-        }
-    }
-
-    /// Replays a pre-orchestrated event buffer against an unbounded
-    /// device — the buffer-sourced twin of
-    /// [`replay_unbounded`](Self::replay_unbounded), letting sweeps feed
-    /// one materialized buffer to
-    /// [`derive_from_replay`](Self::derive_from_replay) for every roomy
-    /// device in a fleet.
-    #[must_use]
-    pub fn replay_buffer_unbounded(
-        &self,
-        buffer: &EventBuffer,
-        stats: AnalysisStats,
-    ) -> UnboundedReplay {
-        let sim = Simulator {
-            allocator: self.config.allocator.clone(),
-            capacity: None,
-            framework_bytes: 0,
-            record_timeline: false,
-        }
-        .replay_buffer(buffer);
-        UnboundedReplay {
-            peak_reserved: sim.peak_reserved,
-            peak_allocated: sim.peak_allocated,
-            events: buffer.len(),
             stats,
         }
     }
@@ -478,6 +452,12 @@ mod tests {
                 .derive_from_replay(&replay)
                 .expect("roomy device qualifies for the fast path");
             assert_eq!(derived, estimator.estimate_analyzed(&analyzed));
+            // A roomy bounded replay never touches capacity, so it hands
+            // back the very same unbounded replay.
+            assert_eq!(
+                estimator.estimate_and_replay(&analyzed),
+                (derived, Some(replay))
+            );
         }
     }
 
@@ -502,6 +482,7 @@ mod tests {
             "the test device must actually be pressured"
         );
         assert_eq!(estimator.derive_from_replay(&replay), None);
+        assert_eq!(estimator.estimate_and_replay(&analyzed).1, None);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use xmem_baselines::{EstimateOutcome, MemoryEstimator};
 use xmem_core::{Estimator, EstimatorConfig};
 use xmem_models::ModelId;
 use xmem_runtime::{GpuDevice, TrainJobSpec};
-use xmem_service::EstimationService;
+use xmem_service::{EstimationService, TraceContext};
 
 /// Adapter running the xMem pipeline (CPU profile → analyze → orchestrate
 /// → simulate) behind the common [`MemoryEstimator`] interface.
@@ -57,7 +57,9 @@ impl MemoryEstimator for XMemEstimator {
 
     fn estimate(&self, spec: &TrainJobSpec, device: &GpuDevice) -> Option<EstimateOutcome> {
         let est = match &self.service {
-            Some(service) => service.estimate_for_device(spec, *device).ok()?,
+            Some(service) => service
+                .estimate(spec, *device, &TraceContext::disabled())
+                .ok()?,
             None => {
                 let estimator = Estimator::new(EstimatorConfig::for_device(*device));
                 estimator.estimate_job(spec).ok()?

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use xmem_baselines::{DnnMem, LlMem, MemoryEstimator, SchedTune};
 use xmem_runtime::{run_on_gpu, GpuDevice, TrainJobSpec};
-use xmem_service::{EstimationService, JobKey};
+use xmem_service::{EstimationService, JobKey, TraceContext};
 
 /// One schedulable unit: a job spec bound to a device and repeat identity.
 #[derive(Debug, Clone)]
@@ -155,7 +155,7 @@ pub fn prewarm_matrix(service: &EstimationService, configs: &[JobConfig]) -> (us
         return (jobs.len(), devices.len());
     }
     service
-        .estimate_matrix(&jobs, &devices)
+        .estimate_matrix(&jobs, &devices, &TraceContext::disabled())
         .expect("prewarm devices were just registered");
     (jobs.len(), devices.len())
 }

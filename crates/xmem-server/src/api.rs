@@ -394,7 +394,9 @@ pub fn handle_estimate(
         Ok(d) => d,
         Err(e) => return e,
     };
-    let submitted = service.submit_traced(&spec, device.as_deref(), deadline, ctx);
+    let submitted = service.submit(deadline, ctx, move |service, ctx| {
+        service.estimate(&spec, service.device(device.as_deref())?, ctx)
+    });
     settle(submitted, estimate_body)
 }
 
@@ -442,8 +444,10 @@ pub fn handle_matrix(
     if devices.is_empty() {
         return bad_request("no devices to simulate against");
     }
-    let names: Vec<&str> = devices.iter().map(String::as_str).collect();
-    let submitted = service.matrix_traced(&specs, &names, deadline, ctx);
+    let submitted = service.submit(deadline, ctx, move |service, ctx| {
+        let names: Vec<&str> = devices.iter().map(String::as_str).collect();
+        service.estimate_matrix(&specs, &names, ctx)
+    });
     settle(submitted, matrix_body)
 }
 
@@ -488,14 +492,10 @@ pub fn handle_sweep(
         Ok(spec) => spec,
         Err(e) => return e,
     };
-    let submitted = service.sweep_traced(&spec, &batches, deadline, ctx);
-    match submitted {
-        Err(SubmitError::Busy) => busy_response(),
-        Ok(future) => match future.wait() {
-            Ok(results) => Response::json(200, sweep_body(&results)),
-            Err(error) => estimate_error_response(&error),
-        },
-    }
+    let submitted = service.submit(deadline, ctx, move |service, ctx| {
+        Ok(service.sweep(&spec, &batches, service.device(None)?, ctx))
+    });
+    settle(submitted, |results| sweep_body(results))
 }
 
 /// `POST /v1/plan` — body: `{"job": job, "device": "name", "min": 1?,
@@ -519,8 +519,9 @@ pub fn handle_plan(
         Ok(None) => return bad_request("`device` is required"),
         Err(e) => return e,
     };
-    let Some(device) = service.service().registry().get(&device_name) else {
-        return estimate_error_response(&EstimateError::UnknownDevice(device_name));
+    let device = match service.service().device(Some(&device_name)) {
+        Ok(device) => device,
+        Err(e) => return estimate_error_response(&e),
     };
     let (lo, hi) = match (usize_field(entries, "min"), usize_field(entries, "max")) {
         (Ok(lo), Ok(hi)) => (lo.unwrap_or(1), hi.unwrap_or(1024)),
@@ -535,7 +536,9 @@ pub fn handle_plan(
         Ok(spec) => spec,
         Err(e) => return e,
     };
-    let submitted = service.plan_traced(&spec, device, lo, hi, deadline, ctx);
+    let submitted = service.submit(deadline, ctx, move |service, ctx| {
+        service.max_batch_for_device(&spec, device, lo, hi, ctx)
+    });
     settle(submitted, |max_batch| plan_body(*max_batch))
 }
 
@@ -555,6 +558,8 @@ pub fn handle_best_device(
         Ok(spec) => spec,
         Err(e) => return e,
     };
-    let submitted = service.placement_traced(&spec, deadline, ctx);
+    let submitted = service.submit(deadline, ctx, move |service, ctx| {
+        service.best_device_for_job(&spec, ctx)
+    });
     settle(submitted, |placement| placement_body(placement.as_ref()))
 }

@@ -607,10 +607,13 @@ fn cluster_route(
     if owner == cluster.self_index() {
         return None;
     }
-    let device = if path == "/v1/estimate" {
+    // The estimate's sim cell on this node (unknown device names have
+    // none: the owner answers their 404).
+    let service = shared.service.service();
+    let cell_device = if path == "/v1/estimate" {
         match body.as_object().and_then(|o| serde::obj_get(o, "device")) {
-            Some(serde::Value::Str(name)) => Some(name.clone()),
-            Some(serde::Value::Null) | None => None,
+            Some(serde::Value::Str(name)) => service.device(Some(name)).ok(),
+            Some(serde::Value::Null) | None => service.device(None).ok(),
             // Malformed device field: the local handler owns the 400.
             Some(_) => return None,
         }
@@ -620,15 +623,11 @@ fn cluster_route(
     // A cell an earlier forward already filled answers locally — the
     // rendering is byte-identical to the owner's (deterministic values,
     // shared rendering functions).
-    if path == "/v1/estimate" {
-        if let Some(estimate) = shared
-            .service
-            .service()
-            .cached_cell_estimate(&spec, device.as_deref())
-        {
-            ctx.event("cache.sim", "cell-hit");
-            return Some(Response::json(200, api::estimate_body(&estimate)));
-        }
+    if let Some(estimate) =
+        cell_device.and_then(|device| service.cached_cell_estimate(&spec, device))
+    {
+        ctx.event("cache.sim", "cell-hit");
+        return Some(Response::json(200, api::estimate_body(&estimate)));
     }
     if !cluster.peer_up(owner) {
         cluster.note_local_fallback();
@@ -645,7 +644,7 @@ fn cluster_route(
     // Local fill: the owner's estimate lands in this node's sim cell
     // (journaled like any local insert), so the next query for this key
     // is a local hit instead of another forward.
-    if path == "/v1/estimate" && response.status == 200 {
+    if let (Some(device), 200) = (cell_device, response.status) {
         let parsed: Option<serde::Value> = serde_json::from_str(&response.text()).ok();
         if let Some(estimate) = parsed
             .as_ref()
@@ -653,11 +652,7 @@ fn cluster_route(
             .and_then(|o| serde::obj_get(o, "estimate"))
             .and_then(api::estimate_from_value)
         {
-            if shared
-                .service
-                .service()
-                .fill_sim_cell(&spec, device.as_deref(), estimate)
-            {
+            if service.fill_sim_cell(&spec, device, estimate) {
                 cluster.note_cell_fill();
             }
         }

@@ -20,21 +20,20 @@
 //!   by bracketing with a parallel coarse sweep and bisecting the
 //!   remainder over cached probes;
 //! * [`AsyncEstimationService`] is the future-based front end for
-//!   scheduler event loops: `submit` returns an [`EstimateFuture`]
-//!   answered by a bounded, channel-fed worker pool, with cancellation,
-//!   per-query deadlines, and [`SubmitError::Busy`] backpressure instead
-//!   of unbounded queues. Concurrent identical queries **single-flight**
-//!   onto one profile run ([`FlightStats`]), and Analyzer failures for
-//!   degenerate jobs are remembered in a TTL'd negative cache
-//!   ([`NegativeStats`]);
+//!   scheduler event loops: one generic `submit` runs any query on a
+//!   bounded, channel-fed worker pool and returns a [`PoolFuture`], with
+//!   cancellation, per-query deadlines, and [`SubmitError::Busy`]
+//!   backpressure instead of unbounded queues. Concurrent identical
+//!   queries **single-flight** onto one profile run ([`FlightStats`]),
+//!   and Analyzer failures for degenerate jobs are remembered in a
+//!   TTL'd negative cache ([`NegativeStats`]);
 //! * the **multi-device sharded simulation layer** makes one service
 //!   instance the per-cluster estimator: a [`DeviceRegistry`] of named
 //!   [`GpuDevice`](xmem_runtime::GpuDevice) configs (loadable from a
 //!   JSON fleet file), per-device simulation shards ([`SimStats`]), and
-//!   batched replay — [`EstimationService::estimate_matrix`] /
-//!   [`AsyncEstimationService::submit_matrix`] answer an M-jobs ×
-//!   D-devices grid with exactly one profile/analyze per job fanned out
-//!   to concurrent per-device simulations, and
+//!   batched replay — [`EstimationService::estimate_matrix`] answers an
+//!   M-jobs × D-devices grid with exactly one profile/analyze per job
+//!   fanned out to concurrent per-device simulations, and
 //!   [`EstimationService::best_device_for_job`] turns the matrix into a
 //!   best-fit placement decision.
 //!
@@ -78,8 +77,7 @@ pub use persist::{
 pub use placement::{hash_family, hash_job, HashRing};
 pub use registry::{DeviceRegistry, RegistryParseError};
 pub use service::{
-    AsyncEstimationService, AsyncServiceConfig, EstimateFuture, EstimationService, MatrixFuture,
-    PlacementFuture, PlanFuture, ProfiledStages, ServiceConfig, SweepFuture, SweepOutcome,
+    AsyncEstimationService, AsyncServiceConfig, EstimationService, ProfiledStages, ServiceConfig,
 };
 pub use simcache::{DeviceFingerprint, SimShards, SimStats};
 pub use singleflight::{FlightStats, SingleFlight};

@@ -89,8 +89,12 @@ const PARAM_CACHE_CAPACITY: usize = 32;
 /// Configuration of an [`EstimationService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Estimator settings (target device, allocator, orchestrator knobs).
-    pub estimator: EstimatorConfig,
+    /// The primary device: the target of every query that names no
+    /// device ([`EstimationService::device`] with `None`). Like every
+    /// other device it simulates under the paper-default
+    /// [`EstimatorConfig::for_device`] and caches its cells in its own
+    /// simulation shard.
+    pub device: GpuDevice,
     /// Total cached `(job key → profiled stages)` entries.
     pub cache_capacity: usize,
     /// Lock shards in the cache.
@@ -142,10 +146,9 @@ pub struct ServiceConfig {
     /// batch sweep fits **one** parameterized replay from three profiled
     /// anchor batches and materializes every other cell from it instead
     /// of profiling per batch. The fit is proven exact before use
-    /// (non-affine segments, ablated orchestrators, gc, and timeline
-    /// recording all fall back to full per-batch replays), so results
-    /// are bit-identical either way; disabling is for benchmarking and
-    /// defect isolation.
+    /// (non-affine segments fall back to full per-batch replays), so
+    /// results are bit-identical either way; disabling is for
+    /// benchmarking and defect isolation.
     pub incremental_sweep: bool,
 }
 
@@ -156,7 +159,7 @@ impl ServiceConfig {
     #[must_use]
     pub fn for_device(device: GpuDevice) -> Self {
         ServiceConfig {
-            estimator: EstimatorConfig::for_device(device),
+            device,
             cache_capacity: 256,
             shards: 16,
             threads: 0,
@@ -274,14 +277,16 @@ impl ServiceConfig {
 ///
 /// The expensive, device-independent stages (CPU profiling and trace
 /// analysis) are memoized in a sharded LRU cache keyed by [`JobKey`];
-/// orchestration and allocator simulation re-run per query against the
-/// configured device. All methods take `&self`, so one service instance
-/// can serve many scheduler threads concurrently.
+/// each `(job, device)` simulation is memoized in that device's
+/// simulation shard. Each question has exactly one method, taking the
+/// device it is asked about and the request's [`TraceContext`]. All
+/// methods take `&self`, so one service instance can serve many
+/// scheduler threads concurrently.
 ///
 /// # Example
 ///
 /// ```
-/// use xmem_service::{EstimationService, ServiceConfig};
+/// use xmem_service::{EstimationService, ServiceConfig, TraceContext};
 /// use xmem_runtime::{GpuDevice, TrainJobSpec};
 /// use xmem_models::ModelId;
 /// use xmem_optim::OptimizerKind;
@@ -289,15 +294,17 @@ impl ServiceConfig {
 /// let service = EstimationService::new(ServiceConfig::for_device(GpuDevice::rtx3060()));
 /// let spec = TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 8)
 ///     .with_iterations(2);
-/// let first = service.estimate(&spec).unwrap();
-/// let second = service.estimate(&spec).unwrap(); // served from cache
+/// let ctx = TraceContext::disabled();
+/// let primary = service.device(None).unwrap();
+/// let first = service.estimate(&spec, primary, &ctx).unwrap();
+/// let second = service.estimate(&spec, primary, &ctx).unwrap(); // served from cache
 /// assert_eq!(first, second);
 /// assert_eq!(service.cache_stats().hits, 1);
+/// assert_eq!(service.sim_runs(), 1, "the repeat is a sim-shard hit");
 /// ```
 #[derive(Debug)]
 pub struct EstimationService {
     config: ServiceConfig,
-    estimator: Estimator,
     cache: ShardedLruCache<JobKey, Arc<ProfiledStages>>,
     /// In-flight dedup: concurrent misses for one key coalesce onto a
     /// single profile/analyze run.
@@ -339,7 +346,6 @@ impl EstimationService {
     /// Creates a service.
     #[must_use]
     pub fn new(config: ServiceConfig) -> Self {
-        let estimator = Estimator::new(config.estimator.clone());
         let tiering = config.tiering;
         let mut cache =
             ShardedLruCache::new(config.cache_capacity, config.shards).with_tiering(tiering);
@@ -354,7 +360,6 @@ impl EstimationService {
             ShardedLruCache::new(config.cache_capacity, config.shards).with_tiering(tiering);
         let mut service = EstimationService {
             config,
-            estimator,
             cache,
             flights: SingleFlight::new(),
             negative,
@@ -410,9 +415,8 @@ impl EstimationService {
             .into_iter()
             .map(|(_, device)| device)
             .collect();
-        // The service's own target device simulates too (estimate /
-        // estimate_for_device paths) even when unregistered.
-        devices.push(self.config.estimator.device);
+        // The primary device simulates too, even when unregistered.
+        devices.push(self.config.device);
         let mut imported = 0u64;
         let mut skipped = 0u64;
         for record in records {
@@ -714,16 +718,33 @@ impl EstimationService {
         self.sims.stats()
     }
 
-    /// How many allocator simulations actually executed on the cached
-    /// (matrix / placement / per-device) paths — shorthand for
-    /// [`sim_stats`](Self::sim_stats)`.sim_runs`.
+    /// How many allocator simulations actually executed, on every route
+    /// and every device (the primary device included) — shorthand for
+    /// [`sim_stats`](Self::sim_stats)`.sim_runs`. A repeated identical
+    /// query leaves it unchanged.
     #[must_use]
     pub fn sim_runs(&self) -> u64 {
         self.sims.stats().sim_runs
     }
 
+    /// The device a query is asked about: `None` is the primary device
+    /// ([`ServiceConfig::device`]), a name must be registered.
+    ///
+    /// # Errors
+    /// [`EstimateError::UnknownDevice`] for an unregistered name.
+    pub fn device(&self, name: Option<&str>) -> Result<GpuDevice, EstimateError> {
+        match name {
+            None => Ok(self.config.device),
+            Some(name) => self
+                .registry()
+                .get(name)
+                .ok_or_else(|| EstimateError::UnknownDevice(name.to_string())),
+        }
+    }
+
     /// The memoized profile+analysis stages for `spec`, computing them on
-    /// a cache miss.
+    /// a cache miss. Cache hits, single-flight coalescing, and the
+    /// profile/analyze stages record spans into `ctx`.
     ///
     /// Concurrent misses for the same key are **single-flighted**: one
     /// caller profiles, the rest block on its result. Analyzer failures
@@ -733,19 +754,7 @@ impl EstimationService {
     /// # Errors
     /// Propagates Analyzer failures for degenerate jobs (possibly from
     /// the negative cache).
-    pub fn stages(&self, spec: &TrainJobSpec) -> Result<Arc<ProfiledStages>, EstimateError> {
-        self.stages_traced(spec, &TraceContext::disabled())
-    }
-
-    /// [`stages`](Self::stages) under a request trace: cache hits,
-    /// single-flight coalescing, and the profile/analyze stages record
-    /// spans into `ctx`. A disabled context makes this identical to the
-    /// untraced path.
-    ///
-    /// # Errors
-    /// Propagates Analyzer failures for degenerate jobs (possibly from
-    /// the negative cache).
-    pub fn stages_traced(
+    pub fn stages(
         &self,
         spec: &TrainJobSpec,
         ctx: &TraceContext,
@@ -810,52 +819,31 @@ impl EstimationService {
         result
     }
 
-    /// Estimates `spec`'s peak GPU memory on the service's device,
-    /// reusing cached stages when available. Results are bit-identical to
-    /// the sequential [`Estimator::estimate_job`] path: profiling and
-    /// analysis are deterministic in the job key, and the simulation
-    /// stages run identically on both paths.
+    /// Estimates `spec`'s peak GPU memory on `device`: the primary
+    /// device, a registered one (see [`device`](Self::device)), or any
+    /// explicit configuration. The analysis comes from the stage cache
+    /// and the simulation from `device`'s shard, so a repeat — or a cell
+    /// an earlier matrix, sweep or placement query filled — costs no
+    /// profiling and no simulation. Results are bit-identical to a
+    /// sequential [`Estimator`] over [`EstimatorConfig::for_device`]:
+    /// profiling and analysis are deterministic in the job key, and the
+    /// simulation runs identically on both paths.
     ///
     /// # Errors
     /// Propagates Analyzer failures for degenerate jobs.
-    pub fn estimate(&self, spec: &TrainJobSpec) -> Result<Estimate, EstimateError> {
-        self.estimate_traced(spec, &TraceContext::disabled())
-    }
-
-    /// [`estimate`](Self::estimate) under a request trace.
-    ///
-    /// # Errors
-    /// Propagates Analyzer failures for degenerate jobs.
-    pub fn estimate_traced(
+    pub fn estimate(
         &self,
         spec: &TrainJobSpec,
+        device: GpuDevice,
         ctx: &TraceContext,
     ) -> Result<Estimate, EstimateError> {
-        let stages = self.stages_traced(spec, ctx)?;
-        Ok(self.estimator.estimate_analyzed(&stages.analyzed))
-    }
-
-    /// Like [`estimate`](Self::estimate) but against an alternative
-    /// estimator configuration (e.g. another device), still sharing the
-    /// stage cache — the cached stages are device-independent.
-    ///
-    /// # Errors
-    /// Propagates Analyzer failures for degenerate jobs.
-    pub fn estimate_with(
-        &self,
-        spec: &TrainJobSpec,
-        config: &EstimatorConfig,
-    ) -> Result<Estimate, EstimateError> {
-        let stages = self.stages(spec)?;
-        Ok(Estimator::new(config.clone()).estimate_analyzed(&stages.analyzed))
+        let stages = self.stages(spec, ctx)?;
+        Ok(self.simulate_on(&JobKey::of(spec), &stages, device, false, ctx))
     }
 
     /// Replays already-analyzed stages against one device, through the
-    /// per-device simulation shard. The simulation uses the paper-default
-    /// [`EstimatorConfig::for_device`] for `device` (custom estimator
-    /// configurations go through the uncached
-    /// [`estimate_with`](Self::estimate_with)), so results are
-    /// bit-identical to a sequential `Estimator` built the same way.
+    /// per-device simulation shard, under the paper-default
+    /// [`EstimatorConfig::for_device`] for `device`.
     ///
     /// **Pressure-aware fast path** (unless
     /// [`ServiceConfig::fast_path`] is off): the job replays *once* on an
@@ -867,26 +855,20 @@ impl EstimationService {
     /// [`SimStats::full_replays`](crate::SimStats::full_replays) for the
     /// split).
     ///
+    /// `seed` chooses how that unbounded replay is obtained. Fan-out
+    /// queries (matrix, placement) pass `true` and compute it up front,
+    /// so every roomy device of the fan-out derives from it.
+    /// Single-device queries (estimates, sweep points, admission probes)
+    /// pass `false`: they use a seed some other query cached but never
+    /// compute one — an unbounded replay followed by a pressured bounded
+    /// replay costs ~2× — so a new cell costs exactly one replay. That
+    /// bounded replay still leaves a seed behind, for free, whenever it
+    /// never touched the device's capacity
+    /// ([`Estimator::estimate_and_replay`]).
+    ///
     /// Concurrent identical cells single-flight onto one simulation;
     /// repeats hit the device's shard.
     fn simulate_on(
-        &self,
-        key: &JobKey,
-        stages: &ProfiledStages,
-        device: GpuDevice,
-        ctx: &TraceContext,
-    ) -> Estimate {
-        self.simulate_on_with(key, stages, device, true, ctx)
-    }
-
-    /// [`simulate_on`](Self::simulate_on) with control over *seeding* the
-    /// unbounded-replay cache. Single-device probe loops whose keys never
-    /// repeat (admission-control bisection: every probe is a distinct
-    /// batch) pass `seed = false` — paying an unbounded replay that only a
-    /// pressured bounded replay would follow costs ~2× the pre-fast-path
-    /// work, with no later cell to amortize it. A seed some *other* path
-    /// already cached is still used (peeked, never created).
-    fn simulate_on_with(
         &self,
         key: &JobKey,
         stages: &ProfiledStages,
@@ -932,22 +914,15 @@ impl EstimationService {
                 None => {
                     self.sims.count_full_replay();
                     replay_span.set_outcome("full-replay");
-                    estimator.estimate_analyzed(&stages.analyzed)
+                    let (estimate, replay) = estimator.estimate_and_replay(&stages.analyzed);
+                    if let (true, Some(replay)) = (self.config.fast_path, replay) {
+                        self.keep_replay(key, Arc::new(replay), ctx);
+                    }
+                    estimate
                 }
             };
             drop(replay_span);
-            // Fetch the shard *after* the (possibly multi-ms) replay: a
-            // concurrent `register_device` invalidation or fleet-cap
-            // eviction during the replay would detach an earlier handle,
-            // and inserting into a detached shard loses the entry and its
-            // counter deltas. A detachment landing in the tiny window
-            // between this fetch and the insert still only costs a
-            // recomputation — stale entries are never *served*, because
-            // lookups are fingerprint-keyed.
-            self.sims
-                .shard(&device)
-                .insert(key.clone(), estimate.clone());
-            self.journal_sim(&sim_key.1, key, &estimate);
+            self.keep_cell(&device, key, &estimate);
             estimate
         });
         if !leader {
@@ -956,9 +931,21 @@ impl EstimationService {
         estimate
     }
 
-    /// Journals one sim-shard insert when persistence is enabled.
-    fn journal_sim(&self, fingerprint: &DeviceFingerprint, key: &JobKey, estimate: &Estimate) {
+    /// Inserts one cell into `device`'s shard, journaling it when
+    /// persistence is enabled. The shard is fetched here, *after* the
+    /// (possibly multi-ms) replay that produced the cell: a concurrent
+    /// `register_device` invalidation or fleet-cap eviction during the
+    /// replay would detach an earlier handle, and inserting into a
+    /// detached shard loses the entry and its counter deltas. A
+    /// detachment landing in the tiny window between this fetch and the
+    /// insert still only costs a recomputation — stale entries are never
+    /// *served*, because lookups are fingerprint-keyed.
+    fn keep_cell(&self, device: &GpuDevice, key: &JobKey, estimate: &Estimate) {
+        self.sims
+            .shard(device)
+            .insert(key.clone(), estimate.clone());
         if let Some(persister) = &self.persist {
+            let fingerprint = DeviceFingerprint::of(device);
             persister.append(&StateRecord::Sim {
                 device: PersistedDevice {
                     name: fingerprint.name.to_owned(),
@@ -975,8 +962,8 @@ impl EstimationService {
     /// The cached unbounded replay for `key`, computed (and
     /// single-flighted) on first use. `estimator` only contributes its
     /// orchestrator/allocator configuration, which is identical for every
-    /// named-device path ([`EstimatorConfig::for_device`]), so replays
-    /// are shared across devices.
+    /// device ([`EstimatorConfig::for_device`]), so replays are shared
+    /// across devices.
     fn unbounded_replay(
         &self,
         key: &JobKey,
@@ -994,43 +981,45 @@ impl EstimationService {
             let _span = ctx.span("sim.unbounded");
             self.sims.count_unbounded();
             let replay = Arc::new(estimator.replay_unbounded(&stages.analyzed));
-            self.replays.insert(key.clone(), Arc::clone(&replay));
-            if let Some(persister) = &self.persist {
-                persister.append(&StateRecord::Replay {
-                    job: key.clone(),
-                    replay: (*replay).clone(),
-                });
-                ctx.event("persist.journal", "replay");
-            }
+            self.keep_replay(key, Arc::clone(&replay), ctx);
             replay
         })
     }
 
-    /// Whether `estimator`'s configuration admits the provably-exact
-    /// incremental sweep path. Beyond the core gate
-    /// ([`Estimator::incremental_exact`]: gc off, no timeline), the
-    /// orchestrator must be the default one — the fit cache is shared
-    /// with the named-device paths, which always orchestrate under
-    /// [`EstimatorConfig::for_device`] defaults.
-    fn incremental_eligible(&self, estimator: &Estimator) -> bool {
-        self.config.incremental_sweep
-            && estimator.incremental_exact()
-            && estimator.config().orchestrator == Orchestrator::default()
+    /// Caches `replay` as `key`'s fast-path seed, journaling it when
+    /// persistence is enabled.
+    fn keep_replay(&self, key: &JobKey, replay: Arc<UnboundedReplay>, ctx: &TraceContext) {
+        self.replays.insert(key.clone(), Arc::clone(&replay));
+        if let Some(persister) = &self.persist {
+            persister.append(&StateRecord::Replay {
+                job: key.clone(),
+                replay: (*replay).clone(),
+            });
+            ctx.event("persist.journal", "replay");
+        }
     }
 
     /// The parameterized replay proven over `[lo, hi]` for `base`'s job
-    /// family, fitting (and caching) it on first use. `None` means the
-    /// family is ineligible: the fit was rejected (the delta model could
-    /// not be proven exact) or an anchor failed to profile — callers
-    /// fall back to the full per-batch path, where errors surface
-    /// per-cell.
+    /// family, fitting (and caching) it on first use. `points` is how
+    /// many distinct batches the caller will probe in that range: below
+    /// [`MIN_INCREMENTAL_POINTS`] the three-anchor fit cannot win, so the
+    /// caller keeps the per-batch path. `None` also means the family is
+    /// ineligible: the incremental path is disabled
+    /// ([`ServiceConfig::incremental_sweep`]), the fit was rejected (the
+    /// delta model could not be proven exact), or an anchor failed to
+    /// profile — callers fall back to the per-batch path, where errors
+    /// surface per-cell.
     fn param_for(
         &self,
         base: &TrainJobSpec,
         lo: usize,
         hi: usize,
+        points: usize,
         ctx: &TraceContext,
     ) -> Option<Arc<ParamReplay>> {
+        if !self.config.incremental_sweep || points < MIN_INCREMENTAL_POINTS || lo == 0 {
+            return None;
+        }
         let family = SweepKey::of(base);
         let covering =
             |outcome: &Arc<ParamOutcome>| outcome.batch_lo <= lo && hi <= outcome.batch_hi;
@@ -1058,7 +1047,7 @@ impl EstimationService {
             let anchors: Vec<(usize, Arc<ProfiledStages>)> = self
                 .parallel_fill(3, |i| {
                     let batch = [lo, mid, hi][i];
-                    self.stages_traced(&with_batch(base, batch), ctx)
+                    self.stages(&with_batch(base, batch), ctx)
                         .ok()
                         .map(|stages| (batch, stages))
                 })
@@ -1068,7 +1057,11 @@ impl EstimationService {
                 .iter()
                 .map(|(batch, stages)| (*batch, &stages.analyzed))
                 .collect();
-            let fit = self.estimator.fit_param_replay(&refs).ok().map(Arc::new);
+            // Every device orchestrates under the paper default, so one
+            // fit serves them all.
+            let fit = ParamReplay::fit(&Orchestrator::default(), &refs)
+                .ok()
+                .map(Arc::new);
             if fit.is_some() {
                 self.sims.count_param_replay();
                 fit_span.set_outcome("fit");
@@ -1092,252 +1085,63 @@ impl EstimationService {
         outcome.and_then(|outcome| outcome.fit.clone())
     }
 
-    /// The fit for a sweep over `batches`, when the sweep qualifies for
-    /// the incremental path: enough distinct points to beat the
-    /// three-anchor cost, valid batches, and an eligible `estimator`.
-    fn sweep_param(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
-        estimator: &Estimator,
-        ctx: &TraceContext,
-    ) -> Option<Arc<ParamReplay>> {
-        if !self.incremental_eligible(estimator) {
-            return None;
-        }
-        let mut distinct: Vec<usize> = batches.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        if distinct.len() < MIN_INCREMENTAL_POINTS || distinct[0] == 0 {
-            return None;
-        }
-        self.param_for(base, distinct[0], *distinct.last().expect("non-empty"), ctx)
-    }
-
-    /// One incremental sweep cell under the service's own estimator:
-    /// materialize the fitted buffer at `batch` and replay it bounded.
-    fn incremental_estimate(
-        &self,
-        param: &ParamReplay,
-        batch: usize,
-        ctx: &TraceContext,
-    ) -> Estimate {
-        self.sims.count_run();
-        self.sims.count_incremental();
-        ctx.event("sim.incremental", "cell");
-        self.estimator
-            .estimate_buffer(&param.materialize(batch), param.stats_for(batch))
-    }
-
-    /// Every device's cell for `base` at `batch`, served from the
-    /// parameterized replay: shard hits first; one buffer
-    /// materialization then backs every remaining device — roomy
-    /// devices derive in O(1) from a single unbounded buffer replay,
-    /// pressured ones replay the buffer against their bounded simulator.
-    /// Cells land in the sim shards and the journal exactly like the
-    /// full matrix path's.
-    fn incremental_cells(
+    /// One single-device probe cell — a sweep point or an admission
+    /// probe — through `device`'s shard. A new cell pays exactly one
+    /// bounded replay: materialized from `param` when the range has a
+    /// fit, otherwise replayed from the batch's own analysis.
+    fn probe(
         &self,
         base: &TrainJobSpec,
         batch: usize,
-        param: &ParamReplay,
-        devices: &[GpuDevice],
-        ctx: &TraceContext,
-    ) -> Vec<Estimate> {
-        let spec = with_batch(base, batch);
-        let key = JobKey::of(&spec);
-        let mut cells: Vec<Option<Estimate>> = devices
-            .iter()
-            .map(|device| self.sims.shard(device).get(&key))
-            .collect();
-        if cells.iter().all(Option::is_some) {
-            return cells.into_iter().flatten().collect();
-        }
-        let buffer = param.materialize(batch);
-        let stats = param.stats_for(batch);
-        // One unbounded buffer replay backs the whole row's derivations
-        // (it is not a replay-cache seed: probe batches rarely repeat,
-        // and the buffer is cheaper to rebuild than to retain).
-        let replay = self.config.fast_path.then(|| {
-            Estimator::new(EstimatorConfig::for_device(devices[0]))
-                .replay_buffer_unbounded(&buffer, stats.clone())
-        });
-        for (slot, device) in cells.iter_mut().zip(devices) {
-            if slot.is_some() {
-                continue;
-            }
-            let estimator = Estimator::new(EstimatorConfig::for_device(*device));
-            self.sims.count_run();
-            self.sims.count_incremental();
-            ctx.event("sim.incremental", "cell");
-            let estimate = replay
-                .as_ref()
-                .and_then(|replay| estimator.derive_from_replay(replay))
-                .unwrap_or_else(|| estimator.estimate_buffer(&buffer, stats.clone()));
-            self.sims
-                .shard(device)
-                .insert(key.clone(), estimate.clone());
-            self.journal_sim(&DeviceFingerprint::of(device), &key, &estimate);
-            *slot = Some(estimate);
-        }
-        cells.into_iter().flatten().collect()
-    }
-
-    /// One incremental admission probe on a single device. Probe batches
-    /// never repeat within a bisection, so the unbounded derivation leg
-    /// is skipped — one bounded buffer replay is the cheapest exact
-    /// answer on any device, roomy or pressured.
-    fn incremental_cell_on(
-        &self,
-        base: &TrainJobSpec,
-        batch: usize,
-        param: &ParamReplay,
         device: GpuDevice,
+        param: Option<&ParamReplay>,
         ctx: &TraceContext,
-    ) -> Estimate {
+    ) -> Result<Estimate, EstimateError> {
         let spec = with_batch(base, batch);
         let key = JobKey::of(&spec);
+        let Some(param) = param else {
+            let stages = self.stages(&spec, ctx)?;
+            return Ok(self.simulate_on(&key, &stages, device, false, ctx));
+        };
         if let Some(hit) = self.sims.shard(&device).get(&key) {
             ctx.event("cache.sim", "hit");
-            return hit;
+            return Ok(hit);
         }
         self.sims.count_run();
         self.sims.count_incremental();
         ctx.event("sim.incremental", "cell");
         let estimate = Estimator::new(EstimatorConfig::for_device(device))
             .estimate_buffer(&param.materialize(batch), param.stats_for(batch));
-        self.sims
-            .shard(&device)
-            .insert(key.clone(), estimate.clone());
-        self.journal_sim(&DeviceFingerprint::of(&device), &key, &estimate);
-        estimate
+        self.keep_cell(&device, &key, &estimate);
+        Ok(estimate)
     }
 
-    /// Estimates `spec` on an explicit device configuration through the
-    /// shared cache layers — the analysis cache, the unbounded-replay
-    /// cache, and `device`'s simulation shard — without requiring the
-    /// device to be registered by name. This is the entry point batch
-    /// consumers (evaluation campaigns, benchmark harnesses) use to get
-    /// the same "one analysis, one replay, N derivations" collapse the
-    /// named matrix paths enjoy. Results are bit-identical to a
-    /// sequential [`Estimator`] over [`EstimatorConfig::for_device`].
-    ///
-    /// # Errors
-    /// Propagates Analyzer failures for degenerate jobs.
-    pub fn estimate_for_device(
-        &self,
-        spec: &TrainJobSpec,
-        device: GpuDevice,
-    ) -> Result<Estimate, EstimateError> {
-        let ctx = TraceContext::disabled();
-        let stages = self.stages_traced(spec, &ctx)?;
-        Ok(self.simulate_on(&JobKey::of(spec), &stages, device, &ctx))
-    }
-
-    /// Estimates `spec` on the registered device `device_name`, sharing
-    /// both cache layers: the device-independent analysis cache and the
-    /// per-device simulation shard. A query for a cell that an earlier
-    /// [`estimate_matrix`](Self::estimate_matrix) call computed is a pure
-    /// cache hit — no profiling, no simulation.
-    ///
-    /// Like every named-device path (the matrix and placement queries),
-    /// the simulation uses the paper-default
-    /// [`EstimatorConfig::for_device`] for the named device — a
-    /// customized [`ServiceConfig::estimator`] (ablation knobs, timeline
-    /// recording) applies only to [`estimate`](Self::estimate) /
-    /// [`sweep`](Self::sweep); pair a custom configuration with
-    /// [`estimate_with`](Self::estimate_with) instead.
-    ///
-    /// # Errors
-    /// [`EstimateError::UnknownDevice`] for an unregistered name;
-    /// Analyzer failures for degenerate jobs.
-    pub fn estimate_on(
-        &self,
-        spec: &TrainJobSpec,
-        device_name: &str,
-    ) -> Result<Estimate, EstimateError> {
-        self.estimate_on_traced(spec, device_name, &TraceContext::disabled())
-    }
-
-    /// [`estimate_on`](Self::estimate_on) under a request trace.
-    ///
-    /// # Errors
-    /// [`EstimateError::UnknownDevice`] for an unregistered name;
-    /// Analyzer failures for degenerate jobs.
-    pub fn estimate_on_traced(
-        &self,
-        spec: &TrainJobSpec,
-        device_name: &str,
-        ctx: &TraceContext,
-    ) -> Result<Estimate, EstimateError> {
-        let device = self
-            .registry()
-            .get(device_name)
-            .ok_or_else(|| EstimateError::UnknownDevice(device_name.to_string()))?;
-        let stages = self.stages_traced(spec, ctx)?;
-        Ok(self.simulate_on(&JobKey::of(spec), &stages, device, ctx))
-    }
-
-    /// The device a cluster sim-cell exchange resolves to: a registered
-    /// name, or — for the plain-estimate route — the primary device
-    /// *when* the service estimator is its paper-default configuration
-    /// ([`EstimatorConfig::for_device`]). A customized primary estimator
-    /// (ablation knobs, timeline recording) is not shard-representable:
-    /// its estimates are not bit-identical to a paper-default cell, so
-    /// the cell paths refuse rather than cache a lying entry.
-    fn cell_device(&self, device_name: Option<&str>) -> Option<GpuDevice> {
-        match device_name {
-            Some(name) => self.registry().get(name),
-            None => {
-                let config = self.estimator.config();
-                let default = EstimatorConfig::for_device(config.device);
-                (!config.record_timeline
-                    && config.orchestrator == default.orchestrator
-                    && config.allocator == default.allocator
-                    && config.context_allowance == default.context_allowance)
-                    .then_some(config.device)
-            }
-        }
-    }
-
-    /// The locally cached simulation cell for `spec`, if present —
-    /// `device_name = None` resolves to the primary device (only under a
-    /// paper-default estimator, see the cell-device gate). Cluster nodes
-    /// use this to serve a non-owned request locally when a forwarded
-    /// result already filled the cell, without re-forwarding.
+    /// The locally cached simulation cell for `spec` on `device`, if
+    /// present. Cluster nodes use this to serve a non-owned request
+    /// locally when a forwarded result already filled the cell, without
+    /// re-forwarding.
     #[must_use]
-    pub fn cached_cell_estimate(
-        &self,
-        spec: &TrainJobSpec,
-        device_name: Option<&str>,
-    ) -> Option<Estimate> {
-        let device = self.cell_device(device_name)?;
+    pub fn cached_cell_estimate(&self, spec: &TrainJobSpec, device: GpuDevice) -> Option<Estimate> {
         self.sims.shard(&device).get(&JobKey::of(spec))
     }
 
-    /// Fills the local simulation cell for `spec` with an estimate
-    /// computed elsewhere (a forwarded cluster response), journaling it
-    /// like any locally computed cell. Returns whether the cell was
-    /// newly filled — `false` for unknown devices, a non-paper-default
-    /// primary estimator, or an already-present cell (which is never
-    /// overwritten: cells are deterministic, and the incumbent was
-    /// journaled first).
+    /// Fills the local simulation cell for `spec` on `device` with an
+    /// estimate computed elsewhere (a forwarded cluster response),
+    /// journaling it like any locally computed cell. Returns whether the
+    /// cell was newly filled — `false` for an already-present cell (which
+    /// is never overwritten: cells are deterministic, and the incumbent
+    /// was journaled first).
     pub fn fill_sim_cell(
         &self,
         spec: &TrainJobSpec,
-        device_name: Option<&str>,
+        device: GpuDevice,
         estimate: Estimate,
     ) -> bool {
-        let Some(device) = self.cell_device(device_name) else {
-            return false;
-        };
         let key = JobKey::of(spec);
-        let shard = self.sims.shard(&device);
-        if shard.peek(&key).is_some() {
+        if self.sims.shard(&device).peek(&key).is_some() {
             return false;
         }
-        shard.insert(key.clone(), estimate.clone());
-        self.journal_sim(&DeviceFingerprint::of(&device), &key, &estimate);
+        self.keep_cell(&device, &key, &estimate);
         true
     }
 
@@ -1349,12 +1153,9 @@ impl EstimationService {
     /// [`sim_stats`](Self::sim_stats)).
     ///
     /// Cells land in the per-device simulation shards, so a later
-    /// single-device query ([`estimate_on`](Self::estimate_on)) for any
-    /// cell is a cache hit. Every cell is bit-identical to a sequential
-    /// [`Estimator::estimate_job`] against
-    /// [`EstimatorConfig::for_device`] of its device — a customized
-    /// [`ServiceConfig::estimator`] does not apply here (see
-    /// [`estimate_on`](Self::estimate_on)).
+    /// [`estimate`](Self::estimate) for any cell is a cache hit. Every
+    /// cell is bit-identical to a sequential [`Estimator::estimate_job`]
+    /// against [`EstimatorConfig::for_device`] of its device.
     ///
     /// Per-job analysis failures are carried in the affected cells;
     /// matrix-level failure is reserved for unresolvable device names.
@@ -1365,7 +1166,7 @@ impl EstimationService {
     /// # Example
     ///
     /// ```
-    /// use xmem_service::{EstimationService, ServiceConfig};
+    /// use xmem_service::{EstimationService, TraceContext};
     /// use xmem_runtime::{GpuDevice, TrainJobSpec};
     /// use xmem_models::ModelId;
     /// use xmem_optim::OptimizerKind;
@@ -1373,24 +1174,14 @@ impl EstimationService {
     /// let service = EstimationService::for_device(GpuDevice::rtx3060());
     /// let jobs = [TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 8)
     ///     .with_iterations(2)];
-    /// let matrix = service.estimate_matrix(&jobs, &["rtx3060", "rtx4060"]).unwrap();
+    /// let matrix = service
+    ///     .estimate_matrix(&jobs, &["rtx3060", "rtx4060"], &TraceContext::disabled())
+    ///     .unwrap();
     /// assert_eq!(matrix.num_cells(), 2);
     /// assert_eq!(service.profile_runs(), 1, "one analysis");
     /// assert_eq!(service.sim_runs(), 2, "two simulations");
     /// ```
     pub fn estimate_matrix(
-        &self,
-        specs: &[TrainJobSpec],
-        devices: &[&str],
-    ) -> Result<DeviceMatrix, EstimateError> {
-        self.estimate_matrix_traced(specs, devices, &TraceContext::disabled())
-    }
-
-    /// [`estimate_matrix`](Self::estimate_matrix) under a request trace.
-    ///
-    /// # Errors
-    /// [`EstimateError::UnknownDevice`] naming the first unknown device.
-    pub fn estimate_matrix_traced(
         &self,
         specs: &[TrainJobSpec],
         devices: &[&str],
@@ -1405,8 +1196,14 @@ impl EstimationService {
             .parallel_fill(jobs * resolved.len(), |c| {
                 let (device_index, job_index) = (c / jobs.max(1), c % jobs.max(1));
                 let spec = &specs[job_index];
-                self.stages_traced(spec, ctx).map(|stages| {
-                    self.simulate_on(&JobKey::of(spec), &stages, resolved[device_index], ctx)
+                self.stages(spec, ctx).map(|stages| {
+                    self.simulate_on(
+                        &JobKey::of(spec),
+                        &stages,
+                        resolved[device_index],
+                        true,
+                        ctx,
+                    )
                 })
             })
             .into_iter()
@@ -1437,75 +1234,6 @@ impl EstimationService {
         })
     }
 
-    /// Batch-size sweep across a device fleet: one matrix whose rows are
-    /// `base` at each batch in `batches` (in `batches` order) and whose
-    /// columns are the named devices.
-    ///
-    /// A qualifying sweep (see [`sweep`](Self::sweep)) profiles three
-    /// anchor batches, fits one parameterized replay, and materializes
-    /// every row from it — one unbounded buffer replay per row then
-    /// derives each roomy device's cell in O(1), so the whole matrix
-    /// costs 3 profiles + B replays instead of B profiles + B × D
-    /// replays. Otherwise each distinct batch profiles once and its
-    /// analysis replays against all devices. Cells are bit-identical
-    /// either way and land in the same per-device shards.
-    ///
-    /// # Errors
-    /// [`EstimateError::UnknownDevice`] naming the first unknown device.
-    pub fn sweep_matrix(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
-        devices: &[&str],
-    ) -> Result<DeviceMatrix, EstimateError> {
-        self.sweep_matrix_traced(base, batches, devices, &TraceContext::disabled())
-    }
-
-    /// [`sweep_matrix`](Self::sweep_matrix) under a request trace.
-    ///
-    /// # Errors
-    /// [`EstimateError::UnknownDevice`] naming the first unknown device.
-    pub fn sweep_matrix_traced(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
-        devices: &[&str],
-        ctx: &TraceContext,
-    ) -> Result<DeviceMatrix, EstimateError> {
-        // Named-device cells always simulate under the paper-default
-        // `EstimatorConfig::for_device`, which is incremental-eligible by
-        // construction; gate on the service knob and the sweep shape.
-        let probe = Estimator::new(EstimatorConfig::for_device(self.config.estimator.device));
-        if let Some(param) = self.sweep_param(base, batches, &probe, ctx) {
-            let resolved = self.registry().resolve(devices)?;
-            let rows_cells = self.parallel_fill(batches.len(), |i| {
-                self.incremental_cells(base, batches[i], &param, &resolved, ctx)
-            });
-            let device_names: Vec<String> = devices.iter().map(|&d| d.to_string()).collect();
-            let rows = batches
-                .iter()
-                .zip(rows_cells)
-                .map(|(&batch, cells)| MatrixRow {
-                    spec: with_batch(base, batch),
-                    cells: device_names
-                        .iter()
-                        .zip(cells)
-                        .map(|(name, estimate)| MatrixCell {
-                            device: name.clone(),
-                            estimate: Ok(estimate),
-                        })
-                        .collect(),
-                })
-                .collect();
-            return Ok(DeviceMatrix {
-                devices: device_names,
-                rows,
-            });
-        }
-        let specs: Vec<TrainJobSpec> = batches.iter().map(|&b| with_batch(base, b)).collect();
-        self.estimate_matrix_traced(&specs, devices, ctx)
-    }
-
     /// Placement: the best registered device for `spec` — the
     /// smallest-capacity device whose estimate predicts no OOM (best fit:
     /// big devices stay free for jobs that need them), with ties broken
@@ -1521,26 +1249,13 @@ impl EstimationService {
     pub fn best_device_for_job(
         &self,
         spec: &TrainJobSpec,
-    ) -> Result<Option<DevicePlacement>, EstimateError> {
-        self.best_device_for_job_traced(spec, &TraceContext::disabled())
-    }
-
-    /// [`best_device_for_job`](Self::best_device_for_job) under a request
-    /// trace.
-    ///
-    /// # Errors
-    /// Propagates Analyzer failures — an estimation error is an error,
-    /// never a "does not fit" verdict.
-    pub fn best_device_for_job_traced(
-        &self,
-        spec: &TrainJobSpec,
         ctx: &TraceContext,
     ) -> Result<Option<DevicePlacement>, EstimateError> {
         let mut fleet = self.registry().snapshot();
         if fleet.is_empty() {
             return Ok(None);
         }
-        let stages = self.stages_traced(spec, ctx)?;
+        let stages = self.stages(spec, ctx)?;
         let key = JobKey::of(spec);
         // Smallest capacity first (the stable sort keeps the snapshot's
         // name order within equal capacities, preserving the tie-break),
@@ -1548,7 +1263,7 @@ impl EstimationService {
         // costs one simulation, not one per device.
         fleet.sort_by_key(|&(_, device)| device.capacity);
         for (name, device) in fleet {
-            let estimate = self.simulate_on(&key, &stages, device, ctx);
+            let estimate = self.simulate_on(&key, &stages, device, true, ctx);
             if !estimate.oom_predicted {
                 return Ok(Some(DevicePlacement {
                     device: name,
@@ -1599,11 +1314,14 @@ impl EstimationService {
             .collect()
     }
 
-    /// Estimates `base` at every batch size in `batches`, fanning the grid
-    /// out across worker threads. Results are in `batches` order.
+    /// Estimates `base` at every batch size in `batches` on `device`,
+    /// fanning the grid out across worker threads. Results are in
+    /// `batches` order, and every cell lands in `device`'s shard, so a
+    /// repeated sweep — or a later [`estimate`](Self::estimate) of any
+    /// point — simulates nothing.
     ///
-    /// A qualifying sweep (≥ 4 distinct batches, eligible configuration —
-    /// see [`ServiceConfig::incremental_sweep`]) takes the **incremental
+    /// A qualifying sweep (≥ 4 distinct batches, see
+    /// [`ServiceConfig::incremental_sweep`]) takes the **incremental
     /// path**: three anchor batches profile and pin one parameterized
     /// replay, and every cell — anchors included — is materialized from
     /// it in ~O(events) with no further profiling. The fit is proven
@@ -1615,39 +1333,19 @@ impl EstimationService {
         &self,
         base: &TrainJobSpec,
         batches: &[usize],
-    ) -> Vec<(usize, Result<Estimate, EstimateError>)> {
-        self.sweep_traced(base, batches, &TraceContext::disabled())
-    }
-
-    /// [`sweep`](Self::sweep) under a request trace.
-    pub fn sweep_traced(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
+        device: GpuDevice,
         ctx: &TraceContext,
     ) -> Vec<(usize, Result<Estimate, EstimateError>)> {
-        if let Some(param) = self.sweep_param(base, batches, &self.estimator, ctx) {
-            let estimates = self.parallel_fill(batches.len(), |i| {
-                Ok(self.incremental_estimate(&param, batches[i], ctx))
-            });
-            return batches.iter().copied().zip(estimates).collect();
-        }
-        self.sweep_fill(base, batches, ctx, |_, stages| {
-            self.estimator.estimate_analyzed(&stages.analyzed)
-        })
-    }
-
-    fn sweep_fill(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
-        ctx: &TraceContext,
-        eval: impl Fn(&JobKey, &ProfiledStages) -> Estimate + Sync,
-    ) -> Vec<(usize, Result<Estimate, EstimateError>)> {
+        let mut distinct = batches.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let (lo, hi) = (
+            distinct.first().copied().unwrap_or(0),
+            distinct.last().copied().unwrap_or(0),
+        );
+        let param = self.param_for(base, lo, hi, distinct.len(), ctx);
         let estimates = self.parallel_fill(batches.len(), |i| {
-            let spec = with_batch(base, batches[i]);
-            self.stages_traced(&spec, ctx)
-                .map(|stages| eval(&JobKey::of(&spec), &stages))
+            self.probe(base, batches[i], device, param.as_deref(), ctx)
         });
         batches.iter().copied().zip(estimates).collect()
     }
@@ -1662,6 +1360,9 @@ impl EstimationService {
     /// shard) on repeat queries — including repeats for *other* devices,
     /// which reuse the analyses and pay only for their own simulations.
     ///
+    /// # Panics
+    /// Panics unless `1 <= lo <= hi`.
+    ///
     /// # Errors
     /// Propagates the first Analyzer failure hit by a probe — an
     /// estimation error is an error, never a "does not fit" verdict.
@@ -1671,42 +1372,18 @@ impl EstimationService {
         device: GpuDevice,
         lo: usize,
         hi: usize,
-    ) -> Result<Option<usize>, EstimateError> {
-        self.max_batch_for_device_traced(base, device, lo, hi, &TraceContext::disabled())
-    }
-
-    /// [`max_batch_for_device`](Self::max_batch_for_device) under a
-    /// request trace.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= lo <= hi`, matching the untraced API.
-    ///
-    /// # Errors
-    /// Propagates the first Analyzer failure hit by a probe — an
-    /// estimation error is an error, never a "does not fit" verdict.
-    pub fn max_batch_for_device_traced(
-        &self,
-        base: &TrainJobSpec,
-        device: GpuDevice,
-        lo: usize,
-        hi: usize,
         ctx: &TraceContext,
     ) -> Result<Option<usize>, EstimateError> {
         assert!(lo >= 1 && lo <= hi, "invalid batch range [{lo}, {hi}]");
 
-        // A wide-enough eligible range rides one parameterized replay:
-        // every probe — bracket and bisection alike — materializes from
-        // it, so the whole admission query costs three anchor profiles.
-        // Probes simulate under `EstimatorConfig::for_device(device)`
-        // either way, so the bisection walks identical estimates and
-        // lands on the identical answer.
-        let param = if hi - lo + 1 >= MIN_INCREMENTAL_POINTS
-            && self.incremental_eligible(&Estimator::new(EstimatorConfig::for_device(device)))
-        {
-            self.param_for(base, lo, hi, ctx)
-        } else {
-            None
-        };
+        // A wide-enough range rides one parameterized replay: every
+        // probe — bracket and bisection alike — materializes from it, so
+        // the whole admission query costs three anchor profiles. Probes
+        // simulate under `EstimatorConfig::for_device(device)` either
+        // way, so the bisection walks identical estimates and lands on
+        // the identical answer.
+        let param = self.param_for(base, lo, hi, hi - lo + 1, ctx);
+        let param = param.as_deref();
 
         // Coarse bracket: a parallel sweep over an evenly spaced grid
         // warms the cache and narrows the frontier. The grid is capped —
@@ -1715,21 +1392,11 @@ impl EstimationService {
         // needs only a handful of probes.
         let points = self.worker_count(usize::MAX).min(MAX_BRACKET_POINTS);
         let grid = coarse_grid(lo, hi, points);
+        let probes = self.parallel_fill(grid.len(), |i| {
+            self.probe(base, grid[i], device, param, ctx)
+        });
         let mut coarse = Vec::with_capacity(grid.len());
-        // Probe batches are distinct keys on one device: never worth
-        // seeding the unbounded-replay cache (see `simulate_on_with`).
-        let probes = match &param {
-            Some(param) => self.parallel_fill(grid.len(), |i| {
-                (
-                    grid[i],
-                    Ok(self.incremental_cell_on(base, grid[i], param, device, ctx)),
-                )
-            }),
-            None => self.sweep_fill(base, &grid, ctx, |key, stages| {
-                self.simulate_on_with(key, stages, device, false, ctx)
-            }),
-        };
-        for (batch, estimate) in probes {
+        for (&batch, estimate) in grid.iter().zip(probes) {
             coarse.push((batch, !estimate?.oom_predicted));
         }
         if !coarse.first().map(|&(_, fits)| fits).unwrap_or(false) {
@@ -1750,15 +1417,7 @@ impl EstimationService {
         // Bisect the remaining bracket; probes land in the shared caches.
         while lo < hi {
             let mid = (lo + hi).div_ceil(2);
-            let estimate = match &param {
-                Some(param) => self.incremental_cell_on(base, mid, param, device, ctx),
-                None => {
-                    let spec = with_batch(base, mid);
-                    let stages = self.stages_traced(&spec, ctx)?;
-                    self.simulate_on_with(&JobKey::of(&spec), &stages, device, false, ctx)
-                }
-            };
-            if !estimate.oom_predicted {
+            if !self.probe(base, mid, device, param, ctx)?.oom_predicted {
                 lo = mid;
             } else {
                 hi = mid - 1;
@@ -1768,36 +1427,10 @@ impl EstimationService {
     }
 }
 
-/// Future resolving to one estimate ([`AsyncEstimationService::submit`]).
-pub type EstimateFuture = PoolFuture<Result<Estimate, EstimateError>>;
-
-/// Future resolving to a whole batch-size sweep, in grid order
-/// ([`AsyncEstimationService::sweep_async`]). The outer `Result` carries
-/// only cancellation/deadline outcomes; per-batch estimation failures stay
-/// inside the vector.
-pub type SweepFuture = PoolFuture<SweepOutcome>;
-
-/// Output of [`AsyncEstimationService::sweep_async`].
-pub type SweepOutcome = Result<Vec<(usize, Result<Estimate, EstimateError>)>, EstimateError>;
-
-/// Future resolving to an admission-control answer
-/// ([`AsyncEstimationService::max_batch_for_device_async`]).
-pub type PlanFuture = PoolFuture<Result<Option<usize>, EstimateError>>;
-
-/// Future resolving to a whole device matrix
-/// ([`AsyncEstimationService::submit_matrix`]). The outer `Result`
-/// carries unknown-device / cancellation / deadline outcomes; per-cell
-/// estimation failures stay inside the matrix.
-pub type MatrixFuture = PoolFuture<Result<DeviceMatrix, EstimateError>>;
-
-/// Future resolving to a placement decision
-/// ([`AsyncEstimationService::best_device_for_job_async`]).
-pub type PlacementFuture = PoolFuture<Result<Option<DevicePlacement>, EstimateError>>;
-
 /// Configuration of an [`AsyncEstimationService`].
 #[derive(Debug, Clone)]
 pub struct AsyncServiceConfig {
-    /// The underlying blocking service (cache, estimator, sweep threads).
+    /// The underlying blocking service (caches, primary device, sweep threads).
     pub service: ServiceConfig,
     /// Worker threads answering submitted queries (0 = all cores).
     pub workers: usize,
@@ -1864,18 +1497,17 @@ impl AsyncServiceConfig {
 /// * **Backpressure** — the submission queue is bounded; a full queue
 ///   fails fast with [`SubmitError::Busy`] instead of queueing without
 ///   bound.
-/// * **Cancellation** — [`EstimateFuture::cancel`](PoolFuture::cancel)
-///   resolves the future to [`EstimateError::Cancelled`]; a job cancelled
-///   before a worker claims it never runs at all.
-/// * **Per-query deadlines** —
-///   [`submit_with_deadline`](Self::submit_with_deadline) bounds each
-///   query; an unclaimed job whose deadline passes resolves to
-///   [`EstimateError::DeadlineExceeded`] without running.
+/// * **Cancellation** — [`PoolFuture::cancel`] resolves the future to
+///   [`EstimateError::Cancelled`]; a job cancelled before a worker claims
+///   it never runs at all.
+/// * **Per-query deadlines** — [`submit`](Self::submit) takes an
+///   optional deadline; an unclaimed job whose deadline passes resolves
+///   to [`EstimateError::DeadlineExceeded`] without running.
 ///
 /// # Example
 ///
 /// ```
-/// use xmem_service::{block_on, join_all, AsyncEstimationService};
+/// use xmem_service::{block_on, join_all, AsyncEstimationService, TraceContext};
 /// use xmem_runtime::{GpuDevice, TrainJobSpec};
 /// use xmem_models::ModelId;
 /// use xmem_optim::OptimizerKind;
@@ -1883,9 +1515,16 @@ impl AsyncServiceConfig {
 /// let service = AsyncEstimationService::for_device(GpuDevice::rtx3060());
 /// let spec = TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 8)
 ///     .with_iterations(2);
-/// // Submit a herd of identical admission checks...
+/// // Submit a herd of identical admission checks on the primary device...
 /// let futures: Vec<_> = (0..16)
-///     .map(|_| service.submit(&spec).expect("queue has room"))
+///     .map(|_| {
+///         let spec = spec.clone();
+///         service
+///             .submit(None, &TraceContext::disabled(), move |service, ctx| {
+///                 service.estimate(&spec, service.device(None)?, ctx)
+///             })
+///             .expect("queue has room")
+///     })
 ///     .collect();
 /// // ...and drive them all from one thread.
 /// let estimates = block_on(join_all(futures));
@@ -1954,387 +1593,48 @@ impl AsyncEstimationService {
         self.pool.threads()
     }
 
-    /// Enqueues `work` against the shared service, returning the matching
-    /// future. The pool settles the promise even if `work` panics (the
-    /// future resolves to [`EstimateError::Internal`]) and the worker
-    /// thread survives, so the pool stays at full strength.
-    fn dispatch<T, F>(
-        &self,
-        deadline: Option<Instant>,
-        work: F,
-    ) -> Result<PoolFuture<T>, SubmitError>
-    where
-        T: crate::future::LateOutcome + 'static,
-        F: FnOnce(&EstimationService) -> T + Send + 'static,
-    {
-        let (promise, future) = promise_pair(deadline);
-        let service = Arc::clone(&self.service);
-        self.pool
-            .try_execute_settling(promise, move || work(&service))?;
-        // Only accepted, deadline-carrying submissions are watched.
-        self.timer.watch(&future);
-        Ok(future)
-    }
-
-    /// Submits one estimation query.
+    /// Submits one query: `query` runs on a pool worker against the
+    /// shared service, under `ctx`, and the returned future resolves to
+    /// its answer. Every question takes this one path — the closure names
+    /// the question and its device (see the type-level example).
+    ///
+    /// Queue wait records as a `pool.queue` span and worker execution as
+    /// `service.call`; every pipeline stage the query touches records
+    /// under the same trace id. If `deadline` passes first, a dedicated
+    /// timer thread settles the future with
+    /// [`EstimateError::DeadlineExceeded`] — `.await`-ing consumers are
+    /// woken at the deadline, not at the next pool completion — and, when
+    /// no worker had claimed the job yet, `query` never runs. The pool
+    /// settles the future even if `query` panics (it resolves to
+    /// [`EstimateError::Internal`]) and the worker thread survives.
     ///
     /// # Errors
     /// [`SubmitError::Busy`] when the bounded submission queue is full;
     /// resolve some in-flight futures and retry.
-    pub fn submit(&self, spec: &TrainJobSpec) -> Result<EstimateFuture, SubmitError> {
-        self.submit_traced(spec, None, None, &TraceContext::disabled())
-    }
-
-    /// Submits one estimation query under a request trace — against the
-    /// primary device, or a *named* registered device when `device_name`
-    /// is given. Queue wait records as a `pool.queue` span, worker
-    /// execution as `service.call`, and every pipeline stage the query
-    /// touches records under the same trace id. A disabled context makes
-    /// this identical to the untraced submit paths.
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn submit_traced(
+    pub fn submit<T, F>(
         &self,
-        spec: &TrainJobSpec,
-        device_name: Option<&str>,
         deadline: Option<Instant>,
         ctx: &TraceContext,
-    ) -> Result<EstimateFuture, SubmitError> {
-        let spec = spec.clone();
-        let device_name = device_name.map(str::to_string);
+        query: F,
+    ) -> Result<PoolFuture<Result<T, EstimateError>>, SubmitError>
+    where
+        T: Clone + Send + 'static,
+        F: FnOnce(&EstimationService, &TraceContext) -> Result<T, EstimateError> + Send + 'static,
+    {
         let ctx = ctx.clone();
         let queue = ctx.span("pool.queue");
-        self.dispatch(deadline, move |service| {
+        let service = Arc::clone(&self.service);
+        let (promise, future) = promise_pair(deadline);
+        self.pool.try_execute_settling(promise, move || {
             drop(queue);
             let mut call = ctx.span("service.call");
-            let result = match &device_name {
-                Some(name) => service.estimate_on_traced(&spec, name, &ctx),
-                None => service.estimate_traced(&spec, &ctx),
-            };
+            let result = query(&service, &ctx);
             call.set_outcome(if result.is_ok() { "ok" } else { "error" });
             result
-        })
-    }
-
-    /// Submits one estimation query that must resolve by `deadline`. If
-    /// the deadline passes first, a dedicated timer thread settles the
-    /// future with [`EstimateError::DeadlineExceeded`] — `.await`-ing
-    /// consumers are woken at the deadline, not at the next pool
-    /// completion — and, when no worker had claimed the job yet, the
-    /// profile run is skipped entirely.
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn submit_with_deadline(
-        &self,
-        spec: &TrainJobSpec,
-        deadline: Instant,
-    ) -> Result<EstimateFuture, SubmitError> {
-        self.submit_traced(spec, None, Some(deadline), &TraceContext::disabled())
-    }
-
-    /// Submits a whole batch-size sweep as one pooled query; the worker
-    /// fans the grid out exactly like [`EstimationService::sweep`].
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn sweep_async(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
-    ) -> Result<SweepFuture, SubmitError> {
-        self.sweep_inner(base, batches, None)
-    }
-
-    /// [`sweep_async`](Self::sweep_async) with a deadline on the whole
-    /// sweep: past it the future resolves to
-    /// [`EstimateError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn sweep_async_with_deadline(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
-        deadline: Instant,
-    ) -> Result<SweepFuture, SubmitError> {
-        self.sweep_inner(base, batches, Some(deadline))
-    }
-
-    fn sweep_inner(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
-        deadline: Option<Instant>,
-    ) -> Result<SweepFuture, SubmitError> {
-        self.sweep_traced(base, batches, deadline, &TraceContext::disabled())
-    }
-
-    /// [`sweep_async`](Self::sweep_async) under a request trace (see
-    /// [`submit_traced`](Self::submit_traced) for the span layout).
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn sweep_traced(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
-        deadline: Option<Instant>,
-        ctx: &TraceContext,
-    ) -> Result<SweepFuture, SubmitError> {
-        let base = base.clone();
-        let batches = batches.to_vec();
-        let ctx = ctx.clone();
-        let queue = ctx.span("pool.queue");
-        self.dispatch(deadline, move |service| {
-            drop(queue);
-            let mut call = ctx.span("service.call");
-            let result = service.sweep_traced(&base, &batches, &ctx);
-            call.set_outcome("ok");
-            Ok(result)
-        })
-    }
-
-    /// Submits an admission-control query: the largest batch in
-    /// `[lo, hi]` fitting `device` (see
-    /// [`EstimationService::max_batch_for_device`]).
-    ///
-    /// # Panics
-    /// Panics (before dispatch) unless `1 <= lo <= hi`, matching the
-    /// blocking API.
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn max_batch_for_device_async(
-        &self,
-        base: &TrainJobSpec,
-        device: GpuDevice,
-        lo: usize,
-        hi: usize,
-    ) -> Result<PlanFuture, SubmitError> {
-        self.plan_inner(base, device, lo, hi, None)
-    }
-
-    /// [`max_batch_for_device_async`](Self::max_batch_for_device_async)
-    /// with a deadline: past it the future resolves to
-    /// [`EstimateError::DeadlineExceeded`].
-    ///
-    /// # Panics
-    /// Panics (before dispatch) unless `1 <= lo <= hi`.
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn max_batch_for_device_async_with_deadline(
-        &self,
-        base: &TrainJobSpec,
-        device: GpuDevice,
-        lo: usize,
-        hi: usize,
-        deadline: Instant,
-    ) -> Result<PlanFuture, SubmitError> {
-        self.plan_inner(base, device, lo, hi, Some(deadline))
-    }
-
-    fn plan_inner(
-        &self,
-        base: &TrainJobSpec,
-        device: GpuDevice,
-        lo: usize,
-        hi: usize,
-        deadline: Option<Instant>,
-    ) -> Result<PlanFuture, SubmitError> {
-        self.plan_traced(base, device, lo, hi, deadline, &TraceContext::disabled())
-    }
-
-    /// [`max_batch_for_device_async`](Self::max_batch_for_device_async)
-    /// under a request trace.
-    ///
-    /// # Panics
-    /// Panics (before dispatch) unless `1 <= lo <= hi`.
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn plan_traced(
-        &self,
-        base: &TrainJobSpec,
-        device: GpuDevice,
-        lo: usize,
-        hi: usize,
-        deadline: Option<Instant>,
-        ctx: &TraceContext,
-    ) -> Result<PlanFuture, SubmitError> {
-        assert!(lo >= 1 && lo <= hi, "invalid batch range [{lo}, {hi}]");
-        let base = base.clone();
-        let ctx = ctx.clone();
-        let queue = ctx.span("pool.queue");
-        self.dispatch(deadline, move |service| {
-            drop(queue);
-            let mut call = ctx.span("service.call");
-            let result = service.max_batch_for_device_traced(&base, device, lo, hi, &ctx);
-            call.set_outcome(if result.is_ok() { "ok" } else { "error" });
-            result
-        })
-    }
-
-    /// Submits one estimation query against a *named* registered device
-    /// (see [`EstimationService::estimate_on`]); the answer shares the
-    /// analysis cache and the device's simulation shard with every matrix
-    /// query in flight.
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn submit_on(
-        &self,
-        spec: &TrainJobSpec,
-        device_name: &str,
-    ) -> Result<EstimateFuture, SubmitError> {
-        self.submit_on_inner(spec, device_name, None)
-    }
-
-    /// [`submit_on`](Self::submit_on) with a deadline: past it the future
-    /// resolves to [`EstimateError::DeadlineExceeded`], and an unclaimed
-    /// job never runs.
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn submit_on_with_deadline(
-        &self,
-        spec: &TrainJobSpec,
-        device_name: &str,
-        deadline: Instant,
-    ) -> Result<EstimateFuture, SubmitError> {
-        self.submit_on_inner(spec, device_name, Some(deadline))
-    }
-
-    fn submit_on_inner(
-        &self,
-        spec: &TrainJobSpec,
-        device_name: &str,
-        deadline: Option<Instant>,
-    ) -> Result<EstimateFuture, SubmitError> {
-        self.submit_traced(spec, Some(device_name), deadline, &TraceContext::disabled())
-    }
-
-    /// Submits a whole device matrix as one pooled query: every job in
-    /// `specs` × every named device, with one analysis per distinct job
-    /// fanned out to per-device simulations (see
-    /// [`EstimationService::estimate_matrix`]).
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn submit_matrix(
-        &self,
-        specs: &[TrainJobSpec],
-        devices: &[&str],
-    ) -> Result<MatrixFuture, SubmitError> {
-        self.matrix_inner(specs, devices, None)
-    }
-
-    /// [`submit_matrix`](Self::submit_matrix) with a deadline on the whole
-    /// matrix: past it the future resolves to
-    /// [`EstimateError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn submit_matrix_with_deadline(
-        &self,
-        specs: &[TrainJobSpec],
-        devices: &[&str],
-        deadline: Instant,
-    ) -> Result<MatrixFuture, SubmitError> {
-        self.matrix_inner(specs, devices, Some(deadline))
-    }
-
-    fn matrix_inner(
-        &self,
-        specs: &[TrainJobSpec],
-        devices: &[&str],
-        deadline: Option<Instant>,
-    ) -> Result<MatrixFuture, SubmitError> {
-        self.matrix_traced(specs, devices, deadline, &TraceContext::disabled())
-    }
-
-    /// [`submit_matrix`](Self::submit_matrix) under a request trace.
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn matrix_traced(
-        &self,
-        specs: &[TrainJobSpec],
-        devices: &[&str],
-        deadline: Option<Instant>,
-        ctx: &TraceContext,
-    ) -> Result<MatrixFuture, SubmitError> {
-        let specs = specs.to_vec();
-        let devices: Vec<String> = devices.iter().map(|&d| d.to_string()).collect();
-        let ctx = ctx.clone();
-        let queue = ctx.span("pool.queue");
-        self.dispatch(deadline, move |service| {
-            drop(queue);
-            let mut call = ctx.span("service.call");
-            let names: Vec<&str> = devices.iter().map(String::as_str).collect();
-            let result = service.estimate_matrix_traced(&specs, &names, &ctx);
-            call.set_outcome(if result.is_ok() { "ok" } else { "error" });
-            result
-        })
-    }
-
-    /// Submits a placement query: the best registered device for `spec`
-    /// (see [`EstimationService::best_device_for_job`]).
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn best_device_for_job_async(
-        &self,
-        spec: &TrainJobSpec,
-    ) -> Result<PlacementFuture, SubmitError> {
-        self.placement_inner(spec, None)
-    }
-
-    /// [`best_device_for_job_async`](Self::best_device_for_job_async)
-    /// with a deadline: past it the future resolves to
-    /// [`EstimateError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn best_device_for_job_async_with_deadline(
-        &self,
-        spec: &TrainJobSpec,
-        deadline: Instant,
-    ) -> Result<PlacementFuture, SubmitError> {
-        self.placement_inner(spec, Some(deadline))
-    }
-
-    fn placement_inner(
-        &self,
-        spec: &TrainJobSpec,
-        deadline: Option<Instant>,
-    ) -> Result<PlacementFuture, SubmitError> {
-        self.placement_traced(spec, deadline, &TraceContext::disabled())
-    }
-
-    /// [`best_device_for_job_async`](Self::best_device_for_job_async)
-    /// under a request trace.
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn placement_traced(
-        &self,
-        spec: &TrainJobSpec,
-        deadline: Option<Instant>,
-        ctx: &TraceContext,
-    ) -> Result<PlacementFuture, SubmitError> {
-        let spec = spec.clone();
-        let ctx = ctx.clone();
-        let queue = ctx.span("pool.queue");
-        self.dispatch(deadline, move |service| {
-            drop(queue);
-            let mut call = ctx.span("service.call");
-            let result = service.best_device_for_job_traced(&spec, &ctx);
-            call.set_outcome(if result.is_ok() { "ok" } else { "error" });
-            result
-        })
+        })?;
+        // Only accepted, deadline-carrying submissions are watched.
+        self.timer.watch(&future);
+        Ok(future)
     }
 
     /// Panics that escaped a raw pool job and were caught by the worker
@@ -2385,7 +1685,9 @@ mod tests {
         let device = GpuDevice::rtx3060();
         let service = EstimationService::for_device(device);
         let spec = small_spec(8);
-        let from_service = service.estimate(&spec).unwrap();
+        let from_service = service
+            .estimate(&spec, device, &TraceContext::disabled())
+            .unwrap();
         let sequential = Estimator::new(EstimatorConfig::for_device(device))
             .estimate_job(&spec)
             .unwrap();
@@ -2396,8 +1698,12 @@ mod tests {
     fn cached_estimate_is_identical_and_counts_a_hit() {
         let service = EstimationService::for_device(GpuDevice::rtx3060());
         let spec = small_spec(8);
-        let cold = service.estimate(&spec).unwrap();
-        let warm = service.estimate(&spec).unwrap();
+        let cold = service
+            .estimate(&spec, GpuDevice::rtx3060(), &TraceContext::disabled())
+            .unwrap();
+        let warm = service
+            .estimate(&spec, GpuDevice::rtx3060(), &TraceContext::disabled())
+            .unwrap();
         assert_eq!(cold, warm);
         let stats = service.cache_stats();
         assert_eq!(stats.misses, 1);
@@ -2409,13 +1715,23 @@ mod tests {
     fn repeated_sweep_is_fully_cached() {
         let service = EstimationService::for_device(GpuDevice::rtx3060());
         let batches = [1, 2, 4, 8];
-        let first = service.sweep(&small_spec(1), &batches);
+        let first = service.sweep(
+            &small_spec(1),
+            &batches,
+            GpuDevice::rtx3060(),
+            &TraceContext::disabled(),
+        );
         // The incremental path profiles only its three anchors.
         let insertions_after_first = service.cache_stats().insertions;
         assert_eq!(insertions_after_first, 3);
         assert_eq!(service.sim_stats().param_replays, 1);
 
-        let second = service.sweep(&small_spec(1), &batches);
+        let second = service.sweep(
+            &small_spec(1),
+            &batches,
+            GpuDevice::rtx3060(),
+            &TraceContext::disabled(),
+        );
         let stats = service.cache_stats();
         assert_eq!(
             stats.insertions, insertions_after_first,
@@ -2436,7 +1752,12 @@ mod tests {
     fn short_sweeps_stay_on_the_per_batch_path() {
         let service = EstimationService::for_device(GpuDevice::rtx3060());
         let batches = [1, 2, 4];
-        service.sweep(&small_spec(1), &batches);
+        service.sweep(
+            &small_spec(1),
+            &batches,
+            GpuDevice::rtx3060(),
+            &TraceContext::disabled(),
+        );
         let stats = service.sim_stats();
         assert_eq!(
             stats.param_replays, 0,
@@ -2450,7 +1771,12 @@ mod tests {
     fn incremental_sweep_counts_cells_and_keeps_the_invariant() {
         let service = EstimationService::for_device(GpuDevice::rtx3060());
         let batches = [1, 2, 4, 8, 12, 16];
-        let swept = service.sweep(&small_spec(1), &batches);
+        let swept = service.sweep(
+            &small_spec(1),
+            &batches,
+            GpuDevice::rtx3060(),
+            &TraceContext::disabled(),
+        );
         assert!(swept.iter().all(|(_, e)| e.is_ok()));
         let stats = service.sim_stats();
         assert_eq!(stats.param_replays, 1, "one fit per family");
@@ -2469,8 +1795,18 @@ mod tests {
             ServiceConfig::for_device(GpuDevice::rtx3060()).with_incremental_sweep(false),
         );
         let batches = [1, 2, 4, 8, 12];
-        let a = incremental.sweep(&small_spec(1), &batches);
-        let b = legacy.sweep(&small_spec(1), &batches);
+        let a = incremental.sweep(
+            &small_spec(1),
+            &batches,
+            GpuDevice::rtx3060(),
+            &TraceContext::disabled(),
+        );
+        let b = legacy.sweep(
+            &small_spec(1),
+            &batches,
+            GpuDevice::rtx3060(),
+            &TraceContext::disabled(),
+        );
         for ((b1, e1), (b2, e2)) in a.iter().zip(&b) {
             assert_eq!(b1, b2);
             assert_eq!(e1.as_ref().unwrap(), e2.as_ref().unwrap());
@@ -2480,26 +1816,15 @@ mod tests {
     }
 
     #[test]
-    fn ineligible_configs_fall_back_to_full_sweeps() {
-        // Timeline recording reads the clock: the delta model cannot be
-        // proven exact, so the gate must refuse the incremental path.
-        let mut config = ServiceConfig::for_device(GpuDevice::rtx3060());
-        config.estimator.record_timeline = true;
-        let service = EstimationService::new(config);
-        let batches = [1, 2, 4, 8];
-        let swept = service.sweep(&small_spec(1), &batches);
-        assert!(swept.iter().all(|(_, e)| e.is_ok()));
-        let stats = service.sim_stats();
-        assert_eq!(stats.param_replays, 0);
-        assert_eq!(stats.incremental_cells, 0);
-        assert_eq!(service.profile_runs(), batches.len() as u64);
-    }
-
-    #[test]
     fn sweep_preserves_input_order() {
         let service = EstimationService::for_device(GpuDevice::rtx3060());
         let batches = [8, 1, 4, 2];
-        let results = service.sweep(&small_spec(1), &batches);
+        let results = service.sweep(
+            &small_spec(1),
+            &batches,
+            GpuDevice::rtx3060(),
+            &TraceContext::disabled(),
+        );
         let got: Vec<usize> = results.iter().map(|&(b, _)| b).collect();
         assert_eq!(got, batches);
     }
@@ -2510,13 +1835,56 @@ mod tests {
         let service = EstimationService::for_device(device);
         let base = small_spec(1);
         let max = service
-            .max_batch_for_device(&base, device, 1, 16)
+            .max_batch_for_device(&base, device, 1, 16, &TraceContext::disabled())
             .expect("estimation succeeds");
         // MobileNetV3-Small fits this device comfortably across the range.
         assert_eq!(max, Some(16));
         // The answer agrees with direct estimates at the frontier.
-        let at_max = service.estimate(&with_batch(&base, 16)).unwrap();
+        let at_max = service
+            .estimate(&with_batch(&base, 16), device, &TraceContext::disabled())
+            .unwrap();
         assert!(!at_max.oom_predicted);
+    }
+
+    #[test]
+    fn single_estimates_pay_one_replay_and_seed_roomy_ones_for_free() {
+        let service = EstimationService::for_device(GpuDevice::rtx3060());
+        let ctx = TraceContext::disabled();
+        let sequential = |spec: &TrainJobSpec, device: GpuDevice| {
+            Estimator::new(EstimatorConfig::for_device(device))
+                .estimate_job(spec)
+                .unwrap()
+        };
+        // Roomy: the bounded replay is the unbounded one, so it is kept
+        // as the seed and the next device derives its cell from it.
+        let spec = small_spec(8);
+        for device in [GpuDevice::rtx3060(), GpuDevice::a100_40g()] {
+            let estimate = service.estimate(&spec, device, &ctx).unwrap();
+            assert_eq!(estimate, sequential(&spec, device));
+        }
+        let stats = service.sim_stats();
+        assert_eq!((stats.full_replays, stats.fast_path_hits), (1, 1));
+        assert_eq!(
+            stats.unbounded_replays, 0,
+            "no replay beyond the bounded one"
+        );
+
+        // Pressured: the bounded replay ran out of room, so no seed is
+        // kept and the roomy device pays its own replay.
+        let pressured = GpuDevice {
+            name: "test-pressured",
+            capacity: (560 << 20) + 777_777,
+            framework_bytes: 512 << 20,
+            init_bytes: 0,
+        };
+        let spec = small_spec(4);
+        for device in [pressured, GpuDevice::a100_40g()] {
+            let estimate = service.estimate(&spec, device, &ctx).unwrap();
+            assert_eq!(estimate, sequential(&spec, device));
+        }
+        let stats = service.sim_stats();
+        assert_eq!((stats.full_replays, stats.fast_path_hits), (3, 1));
+        assert_eq!(stats.unbounded_replays, 0);
     }
 
     #[test]
@@ -2524,7 +1892,9 @@ mod tests {
         let service = EstimationService::for_device(GpuDevice::rtx3060());
         let jobs = [small_spec(4), small_spec(8)];
         let devices = ["rtx3060", "rtx4060", "a100"];
-        let matrix = service.estimate_matrix(&jobs, &devices).unwrap();
+        let matrix = service
+            .estimate_matrix(&jobs, &devices, &TraceContext::disabled())
+            .unwrap();
         assert!(matrix
             .rows
             .iter()
@@ -2551,8 +1921,12 @@ mod tests {
         let full = EstimationService::new(
             ServiceConfig::for_device(GpuDevice::rtx3060()).with_fast_path(false),
         );
-        let fast_matrix = fast.estimate_matrix(&jobs, &devices).unwrap();
-        let full_matrix = full.estimate_matrix(&jobs, &devices).unwrap();
+        let fast_matrix = fast
+            .estimate_matrix(&jobs, &devices, &TraceContext::disabled())
+            .unwrap();
+        let full_matrix = full
+            .estimate_matrix(&jobs, &devices, &TraceContext::disabled())
+            .unwrap();
         assert_eq!(fast_matrix, full_matrix, "fast path must be bit-identical");
         let stats = full.sim_stats();
         assert_eq!(stats.fast_path_hits, 0);
@@ -2569,7 +1943,7 @@ mod tests {
         let service = EstimationService::for_device(device);
         let base = small_spec(1);
         service
-            .max_batch_for_device(&base, device, 1, 16)
+            .max_batch_for_device(&base, device, 1, 16, &TraceContext::disabled())
             .expect("estimation succeeds");
         let stats = service.sim_stats();
         assert_eq!(
@@ -2585,7 +1959,7 @@ mod tests {
 
         // Matrix cells (a batch no probe touched) still seed as before.
         service
-            .estimate_matrix(&[small_spec(24)], &["rtx4060"])
+            .estimate_matrix(&[small_spec(24)], &["rtx4060"], &TraceContext::disabled())
             .expect("devices resolve");
         assert_eq!(service.sim_stats().unbounded_replays, 1);
     }
@@ -2595,7 +1969,7 @@ mod tests {
         let device = GpuDevice::rtx3060();
         let service = EstimationService::for_device(device);
         let max = service
-            .max_batch_for_device(&small_spec(1), device, 2, 4)
+            .max_batch_for_device(&small_spec(1), device, 2, 4, &TraceContext::disabled())
             .expect("estimation succeeds");
         assert_eq!(max, Some(4));
         let stats = service.sim_stats();
@@ -2610,8 +1984,8 @@ mod tests {
             ServiceConfig::for_device(GpuDevice::rtx3060()).with_trace_retention(false),
         );
         let spec = small_spec(8);
-        let with_trace = retaining.stages(&spec).unwrap();
-        let without_trace = dropping.stages(&spec).unwrap();
+        let with_trace = retaining.stages(&spec, &TraceContext::disabled()).unwrap();
+        let without_trace = dropping.stages(&spec, &TraceContext::disabled()).unwrap();
         assert!(with_trace.trace.is_some());
         assert!(without_trace.trace.is_none());
         assert!(
@@ -2619,8 +1993,12 @@ mod tests {
             "dropping the trace must shrink the entry's cache cost"
         );
         assert_eq!(
-            retaining.estimate(&spec).unwrap(),
-            dropping.estimate(&spec).unwrap()
+            retaining
+                .estimate(&spec, GpuDevice::rtx3060(), &TraceContext::disabled())
+                .unwrap(),
+            dropping
+                .estimate(&spec, GpuDevice::rtx3060(), &TraceContext::disabled())
+                .unwrap()
         );
     }
 
@@ -2632,8 +2010,12 @@ mod tests {
             ServiceConfig::for_device(GpuDevice::rtx3060()).with_cache_bytes_budget(1),
         );
         let spec = small_spec(4);
-        let first = service.estimate(&spec).unwrap();
-        let second = service.estimate(&spec).unwrap();
+        let first = service
+            .estimate(&spec, GpuDevice::rtx3060(), &TraceContext::disabled())
+            .unwrap();
+        let second = service
+            .estimate(&spec, GpuDevice::rtx3060(), &TraceContext::disabled())
+            .unwrap();
         assert_eq!(first, second);
         assert_eq!(service.profile_runs(), 2, "nothing could be cached");
         assert!(service.cache_stats().rejected >= 2);

@@ -81,9 +81,11 @@ impl DeviceFingerprint {
 pub struct SimStats {
     /// Aggregated hit/miss/insert/evict counters over every device shard.
     pub cache: CacheStats,
-    /// Allocator simulations actually executed — the ground truth the
-    /// matrix layer is judged against: a full M × D matrix costs exactly
-    /// M analyses and M × D simulations. Every simulation is served by
+    /// Allocator simulations actually executed, on every route and every
+    /// device (the primary device included) — the ground truth the
+    /// caches are judged against: a full M × D matrix costs exactly M
+    /// analyses and M × D simulations, and a repeated identical query
+    /// costs none. Every simulation is served by
     /// derivation (`fast_path_hits`), by a full stateful replay
     /// (`full_replays`), or by the incremental sweep
     /// (`incremental_cells`); the three always sum to `sim_runs`.

@@ -8,7 +8,7 @@
 use xmem_models::ModelId;
 use xmem_optim::OptimizerKind;
 use xmem_runtime::{GpuDevice, TrainJobSpec};
-use xmem_service::{DeviceRegistry, EstimationService, ServiceConfig, TieringMode};
+use xmem_service::{DeviceRegistry, EstimationService, ServiceConfig, TieringMode, TraceContext};
 
 /// Deterministic xorshift64* stream, seeding the pseudo-random fleet and
 /// query mix identically for both services.
@@ -72,6 +72,7 @@ fn adaptive_tiering_is_bit_identical_to_plain_lru_service_results() {
     let plain = service_with(TieringMode::Off, &fleet);
     assert!(adaptive.stage_tier_stats().adaptive);
     assert!(!plain.stage_tier_stats().segmented);
+    let (primary, ctx) = (GpuDevice::rtx3060(), TraceContext::disabled());
 
     // A pseudo-random query mix over more distinct jobs than the cache
     // holds: single estimates, per-device estimates, sweeps, matrices,
@@ -80,20 +81,20 @@ fn adaptive_tiering_is_bit_identical_to_plain_lru_service_results() {
         let batch = 1 + rng.below(8) as usize;
         match rng.below(5) {
             0 => {
-                let a = adaptive.estimate(&spec(batch)).unwrap();
-                let b = plain.estimate(&spec(batch)).unwrap();
+                let a = adaptive.estimate(&spec(batch), primary, &ctx).unwrap();
+                let b = plain.estimate(&spec(batch), primary, &ctx).unwrap();
                 assert_eq!(a, b, "estimate(batch={batch}) diverged");
             }
             1 => {
                 let device = fleet[rng.below(fleet.len() as u64) as usize];
-                let a = adaptive.estimate_for_device(&spec(batch), device).unwrap();
-                let b = plain.estimate_for_device(&spec(batch), device).unwrap();
-                assert_eq!(a, b, "estimate_for_device(batch={batch}) diverged");
+                let a = adaptive.estimate(&spec(batch), device, &ctx).unwrap();
+                let b = plain.estimate(&spec(batch), device, &ctx).unwrap();
+                assert_eq!(a, b, "named estimate(batch={batch}) diverged");
             }
             2 => {
                 let batches = [batch, batch + 1, batch + 3];
-                let a = adaptive.sweep(&spec(1), &batches);
-                let b = plain.sweep(&spec(1), &batches);
+                let a = adaptive.sweep(&spec(1), &batches, primary, &ctx);
+                let b = plain.sweep(&spec(1), &batches, primary, &ctx);
                 for ((b1, e1), (b2, e2)) in a.iter().zip(&b) {
                     assert_eq!(b1, b2);
                     assert_eq!(e1.as_ref().unwrap(), e2.as_ref().unwrap(), "sweep diverged");
@@ -101,13 +102,13 @@ fn adaptive_tiering_is_bit_identical_to_plain_lru_service_results() {
             }
             3 => {
                 let jobs = [spec(batch)];
-                let a = adaptive.estimate_matrix(&jobs, &FLEET_NAMES).unwrap();
-                let b = plain.estimate_matrix(&jobs, &FLEET_NAMES).unwrap();
+                let a = adaptive.estimate_matrix(&jobs, &FLEET_NAMES, &ctx).unwrap();
+                let b = plain.estimate_matrix(&jobs, &FLEET_NAMES, &ctx).unwrap();
                 assert_eq!(a, b, "matrix(batch={batch}) diverged");
             }
             _ => {
-                let a = adaptive.best_device_for_job(&spec(batch)).unwrap();
-                let b = plain.best_device_for_job(&spec(batch)).unwrap();
+                let a = adaptive.best_device_for_job(&spec(batch), &ctx).unwrap();
+                let b = plain.best_device_for_job(&spec(batch), &ctx).unwrap();
                 assert_eq!(a, b, "placement(batch={batch}) diverged");
             }
         }

@@ -11,7 +11,9 @@ use xmem_core::{Estimator, EstimatorConfig};
 use xmem_models::ModelId;
 use xmem_optim::OptimizerKind;
 use xmem_runtime::{GpuDevice, TrainJobSpec};
-use xmem_service::{DeviceRegistry, EstimationService, JobKey, ServiceConfig, ShardedLruCache};
+use xmem_service::{
+    DeviceRegistry, EstimationService, JobKey, ServiceConfig, ShardedLruCache, TraceContext,
+};
 
 const MODELS: [ModelId; 4] = [
     ModelId::MobileNetV3Small,
@@ -546,7 +548,7 @@ proptest! {
             .with_iterations(2);
 
         let matrix = service
-            .estimate_matrix(std::slice::from_ref(&spec), &names)
+            .estimate_matrix(std::slice::from_ref(&spec), &names, &TraceContext::disabled())
             .expect("all fleet names are registered");
         prop_assert_eq!(service.profile_runs(), 1, "one analysis for the whole row");
         prop_assert_eq!(service.sim_runs(), fleet.len() as u64);
@@ -566,7 +568,7 @@ proptest! {
         }
 
         let placement = service
-            .best_device_for_job(&spec)
+            .best_device_for_job(&spec, &TraceContext::disabled())
             .expect("estimation succeeds");
         let fitting: Vec<&GpuDevice> = fleet
             .iter()
@@ -606,7 +608,8 @@ fn eviction_and_recomputation_reproduce_identical_estimates() {
     // Capacity 1 over 1 shard with plain LRU (the adaptive admission
     // gate would deny the second key instead): the second spec always
     // evicts the first.
-    let mut config = ServiceConfig::for_device(GpuDevice::rtx3060())
+    let device = GpuDevice::rtx3060();
+    let mut config = ServiceConfig::for_device(device)
         .with_cache_capacity(1)
         .with_tiering(xmem_service::TieringMode::Off);
     config.shards = 1;
@@ -615,9 +618,15 @@ fn eviction_and_recomputation_reproduce_identical_estimates() {
     let a = TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 2).with_iterations(2);
     let b = TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(2);
 
-    let first_a = service.estimate(&a).unwrap();
-    let _ = service.estimate(&b).unwrap(); // evicts a
-    let second_a = service.estimate(&a).unwrap(); // recomputed
+    let first_a = service
+        .estimate(&a, device, &TraceContext::disabled())
+        .unwrap();
+    let _ = service
+        .estimate(&b, device, &TraceContext::disabled())
+        .unwrap(); // evicts a
+    let second_a = service
+        .estimate(&a, device, &TraceContext::disabled())
+        .unwrap(); // recomputed
     assert_eq!(first_a.peak_bytes, second_a.peak_bytes);
     assert_eq!(first_a, second_a);
     assert!(service.cache_stats().evictions >= 1);

@@ -41,8 +41,11 @@ fn main() {
             devices
                 .iter()
                 .map(|&(_, device)| {
+                    let base = base.clone();
                     service
-                        .max_batch_for_device_async(&base, device, lo, hi)
+                        .submit(None, &TraceContext::disabled(), move |service, ctx| {
+                            service.max_batch_for_device(&base, device, lo, hi, ctx)
+                        })
                         .expect("queue sized for the workload")
                 })
                 .collect()

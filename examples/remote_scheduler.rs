@@ -58,7 +58,7 @@ fn main() {
 
         // ...is byte-identical to rendering the direct call's result.
         let direct_placement = direct
-            .best_device_for_job(job)
+            .best_device_for_job(job, &TraceContext::disabled())
             .expect("direct placement succeeds");
         assert_eq!(
             response.text(),
@@ -91,9 +91,10 @@ fn main() {
         let direct_plan = direct
             .max_batch_for_device(
                 job,
-                direct.registry().get(&device).expect("device registered"),
+                direct.device(Some(&device)).expect("device registered"),
                 1,
                 64,
+                &TraceContext::disabled(),
             )
             .expect("direct plan succeeds");
         assert_eq!(

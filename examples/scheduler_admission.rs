@@ -76,8 +76,11 @@ fn main() {
     );
     // The scheduler event loop: one matrix query answers every pending
     // job's demand on every device type it operates.
+    let jobs = queue.clone();
     let matrix_future = service
-        .submit_matrix(&queue, &DEVICE_TYPES)
+        .submit(None, &TraceContext::disabled(), move |service, ctx| {
+            service.estimate_matrix(&jobs, &DEVICE_TYPES, ctx)
+        })
         .expect("queue sized for the workload");
     let matrix = block_on(matrix_future).expect("device types are registered");
 

@@ -211,7 +211,7 @@ fn matrix(flags: &HashMap<String, String>) -> Result<(), String> {
     );
     let names: Vec<&str> = devices.iter().map(String::as_str).collect();
     let matrix = service
-        .estimate_matrix(&specs, &names)
+        .estimate_matrix(&specs, &names, &TraceContext::disabled())
         .map_err(|e| format!("matrix failed: {e}"))?;
 
     const MIB: f64 = (1u64 << 20) as f64;
@@ -319,16 +319,16 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
         service.workers()
     );
 
-    let mut futures: Vec<EstimateFuture> = Vec::with_capacity(specs.len());
+    let mut futures = Vec::with_capacity(specs.len());
     // Monotonic cursor over the submission order: everything before it is
     // settled, so Busy-retries never rescan resolved futures.
     let mut first_pending = 0;
     for spec in &specs {
         loop {
-            let submitted = match deadline {
-                Some(deadline) => service.submit_with_deadline(spec, deadline),
-                None => service.submit(spec),
-            };
+            let spec = spec.clone();
+            let submitted = service.submit(deadline, &TraceContext::disabled(), move |s, ctx| {
+                s.estimate(&spec, s.device(None)?, ctx)
+            });
             match submitted {
                 Ok(future) => {
                     futures.push(future);
@@ -571,7 +571,9 @@ fn run() -> Result<(), String> {
                 "{:<8} {:>14} {:>14} {:>6}",
                 "batch", "peak (MiB)", "job peak (MiB)", "fits"
             );
-            for (batch, estimate) in service.sweep(&spec, &batches) {
+            for (batch, estimate) in
+                service.sweep(&spec, &batches, device, &TraceContext::disabled())
+            {
                 match estimate {
                     Ok(e) => println!(
                         "{:<8} {:>14.1} {:>14.1} {:>6}",
@@ -604,7 +606,7 @@ fn run() -> Result<(), String> {
             let service = EstimationService::new(
                 ServiceConfig::for_device(device).with_threads(threads_of(&flags)?),
             );
-            match service.max_batch_for_device(&spec, device, lo, hi) {
+            match service.max_batch_for_device(&spec, device, lo, hi, &TraceContext::disabled()) {
                 Ok(Some(batch)) => println!(
                     "largest batch for {} on {}: {batch}",
                     spec.label(),

@@ -61,6 +61,6 @@ pub mod prelude {
     pub use xmem_runtime::{profile_on_cpu, run_on_gpu, GpuDevice, TrainJobSpec, ZeroGradPos};
     pub use xmem_service::{
         block_on, join_all, AsyncEstimationService, AsyncServiceConfig, CacheStats, DeviceRegistry,
-        EstimateFuture, EstimationService, Executor, MatrixFuture, ServiceConfig, SubmitError,
+        EstimationService, Executor, PoolFuture, ServiceConfig, SubmitError, TraceContext,
     };
 }

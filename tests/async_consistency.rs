@@ -35,6 +35,18 @@ fn heavy_spec() -> TrainJobSpec {
     TrainJobSpec::new(ModelId::Gpt2, OptimizerKind::AdamW, 16).with_iterations(3)
 }
 
+/// Submits one estimate on the primary device.
+fn submit(
+    service: &AsyncEstimationService,
+    spec: &TrainJobSpec,
+    deadline: Option<Instant>,
+) -> Result<PoolFuture<Result<Estimate, EstimateError>>, SubmitError> {
+    let spec = spec.clone();
+    service.submit(deadline, &TraceContext::disabled(), move |s, ctx| {
+        s.estimate(&spec, s.device(None)?, ctx)
+    })
+}
+
 #[test]
 fn a_thousand_concurrent_futures_match_the_sequential_estimator() {
     const IN_FLIGHT: usize = 1200;
@@ -55,9 +67,7 @@ fn a_thousand_concurrent_futures_match_the_sequential_estimator() {
     // any of them — all 1200 futures are in flight at once.
     let futures: Vec<_> = (0..IN_FLIGHT)
         .map(|i| {
-            service
-                .submit(&specs[i % specs.len()])
-                .expect("queue sized for the whole load")
+            submit(&service, &specs[i % specs.len()], None).expect("queue sized for the whole load")
         })
         .collect();
     let outputs = block_on(join_all(futures));
@@ -96,7 +106,7 @@ fn a_thundering_herd_of_identical_queries_profiles_exactly_once() {
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 8).with_iterations(2);
 
     let futures: Vec<_> = (0..HERD)
-        .map(|_| service.submit(&spec).expect("queue sized for the herd"))
+        .map(|_| submit(&service, &spec, None).expect("queue sized for the herd"))
         .collect();
     let outputs = block_on(join_all(futures));
 
@@ -138,10 +148,10 @@ fn cancellation_reports_and_counters_agree() {
             .with_workers(1)
             .with_queue_depth(8),
     );
-    let blocker = service.submit(&heavy_spec()).expect("queue has room");
+    let blocker = submit(&service, &heavy_spec(), None).expect("queue has room");
     let victim_spec =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 2).with_iterations(2);
-    let victim = service.submit(&victim_spec).expect("queue has room");
+    let victim = submit(&service, &victim_spec, None).expect("queue has room");
 
     let (took_effect, pre_empted) = victim.cancel();
     let victim_outcome = victim.wait();
@@ -151,7 +161,7 @@ fn cancellation_reports_and_counters_agree() {
     // slot has been fully processed (run or skipped).
     let sentinel_spec =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 16).with_iterations(2);
-    let sentinel = service.submit(&sentinel_spec).expect("queue has room");
+    let sentinel = submit(&service, &sentinel_spec, None).expect("queue has room");
     assert!(sentinel.wait().is_ok());
     let runs = service.service().profile_runs();
 
@@ -183,7 +193,7 @@ fn a_missed_deadline_resolves_without_profiling() {
             .with_workers(1)
             .with_queue_depth(8),
     );
-    let blocker = service.submit(&heavy_spec()).expect("queue has room");
+    let blocker = submit(&service, &heavy_spec(), None).expect("queue has room");
 
     // Already expired at submission: whichever side touches it first —
     // the polling caller, the timer thread, or the worker claiming it —
@@ -194,15 +204,21 @@ fn a_missed_deadline_resolves_without_profiling() {
     // by xmem-service's timer unit tests, with no worker involved.)
     let victim_spec =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(2);
-    let expired = service
-        .submit_with_deadline(&victim_spec, Instant::now() - Duration::from_millis(1))
-        .expect("queue has room");
+    let expired = submit(
+        &service,
+        &victim_spec,
+        Some(Instant::now() - Duration::from_millis(1)),
+    )
+    .expect("queue has room");
     assert_eq!(block_on(expired), Err(EstimateError::DeadlineExceeded));
 
     // A generous deadline behaves like no deadline at all.
-    let healthy = service
-        .submit_with_deadline(&victim_spec, Instant::now() + Duration::from_secs(600))
-        .expect("queue has room");
+    let healthy = submit(
+        &service,
+        &victim_spec,
+        Some(Instant::now() + Duration::from_secs(600)),
+    )
+    .expect("queue has room");
     assert!(healthy.wait().is_ok());
 
     assert!(blocker.wait().is_ok());
@@ -223,14 +239,14 @@ fn a_full_submission_queue_pushes_back_with_busy() {
             .with_workers(1)
             .with_queue_depth(1),
     );
-    let blocker = service.submit(&heavy_spec()).expect("first submission");
+    let blocker = submit(&service, &heavy_spec(), None).expect("first submission");
 
     let spec =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 2).with_iterations(2);
     let mut accepted = Vec::new();
     let mut busy = 0;
     for _ in 0..4 {
-        match service.submit(&spec) {
+        match submit(&service, &spec, None) {
             Ok(future) => accepted.push(future),
             Err(SubmitError::Busy) => busy += 1,
         }
@@ -245,7 +261,7 @@ fn a_full_submission_queue_pushes_back_with_busy() {
     for future in accepted {
         assert!(future.wait().is_ok());
     }
-    let retried = service.submit(&spec).expect("queue drained");
+    let retried = submit(&service, &spec, None).expect("queue drained");
     assert!(retried.wait().is_ok());
 }
 
@@ -259,7 +275,7 @@ fn degenerate_jobs_are_answered_from_the_negative_cache() {
 
     for round in 0..3 {
         assert_eq!(
-            service.estimate(&degenerate),
+            service.estimate(&degenerate, GpuDevice::rtx3060(), &TraceContext::disabled()),
             Err(EstimateError::MissingIterations),
             "round {round}"
         );
@@ -286,7 +302,7 @@ fn zero_negative_ttl_reverifies_every_query() {
 
     for _ in 0..2 {
         assert_eq!(
-            service.estimate(&degenerate),
+            service.estimate(&degenerate, GpuDevice::rtx3060(), &TraceContext::disabled()),
             Err(EstimateError::MissingIterations)
         );
     }
@@ -305,17 +321,22 @@ fn async_sweep_and_plan_match_their_blocking_counterparts() {
     let batches = [1usize, 2, 4, 8, 16];
 
     let blocking = EstimationService::new(ServiceConfig::for_device(device));
-    let expected_sweep = blocking.sweep(&base, &batches);
+    let expected_sweep = blocking.sweep(&base, &batches, device, &TraceContext::disabled());
     let expected_plan = blocking
-        .max_batch_for_device(&base, device, 1, 16)
+        .max_batch_for_device(&base, device, 1, 16, &TraceContext::disabled())
         .expect("plan succeeds");
 
     let service = AsyncEstimationService::for_device(device);
+    let sweep_base = base.clone();
     let sweep = service
-        .sweep_async(&base, &batches)
+        .submit(None, &TraceContext::disabled(), move |s, ctx| {
+            Ok(s.sweep(&sweep_base, &batches, s.device(None)?, ctx))
+        })
         .expect("queue has room");
     let plan = service
-        .max_batch_for_device_async(&base, device, 1, 16)
+        .submit(None, &TraceContext::disabled(), move |s, ctx| {
+            s.max_batch_for_device(&base, device, 1, 16, ctx)
+        })
         .expect("queue has room");
 
     let swept = block_on(sweep).expect("sweep not cancelled");
@@ -345,7 +366,7 @@ fn the_executor_drives_interleaved_submissions_on_one_thread() {
     let results = std::sync::Arc::new(std::sync::Mutex::new(vec![None; specs.len()]));
     let executor = Executor::new();
     for (i, spec) in specs.iter().enumerate() {
-        let future = service.submit(spec).expect("queue has room");
+        let future = submit(&service, spec, None).expect("queue has room");
         let results = std::sync::Arc::clone(&results);
         executor.spawn(async move {
             let estimate = future.await.expect("estimation succeeds");

@@ -114,7 +114,11 @@ fn each_distinct_key_is_analyzed_exactly_once_cluster_wide() {
         for &batch in &batches {
             let spec = small_spec(batch);
             let body = job_json(&spec);
-            let want = api::estimate_body(&direct.estimate(&spec).expect("direct estimate"));
+            let want = api::estimate_body(
+                &direct
+                    .estimate(&spec, GpuDevice::rtx3060(), &TraceContext::disabled())
+                    .expect("direct estimate"),
+            );
             for client in clients.iter_mut() {
                 let response = authed_post(client, "/v1/estimate", &body);
                 assert_eq!(response.status, 200, "{}", response.text());
@@ -219,7 +223,11 @@ fn cluster_client_completes_a_request_mix_bit_identically_with_a_node_down() {
         assert_eq!(response.status, 200, "{}", response.text());
         assert_eq!(
             response.text(),
-            api::estimate_body(&direct.estimate(&spec).expect("direct estimate")),
+            api::estimate_body(
+                &direct
+                    .estimate(&spec, GpuDevice::rtx3060(), &TraceContext::disabled())
+                    .expect("direct estimate")
+            ),
             "batch {batch} diverged with a node down"
         );
     }
@@ -231,7 +239,12 @@ fn cluster_client_completes_a_request_mix_bit_identically_with_a_node_down() {
     assert_eq!(response.status, 200, "{}", response.text());
     assert_eq!(
         response.text(),
-        api::placement_body(direct.best_device_for_job(&spec).expect("places").as_ref())
+        api::placement_body(
+            direct
+                .best_device_for_job(&spec, &TraceContext::disabled())
+                .expect("places")
+                .as_ref()
+        )
     );
     // A sweep (family-placed).
     let sweep_request = format!(
@@ -244,7 +257,12 @@ fn cluster_client_completes_a_request_mix_bit_identically_with_a_node_down() {
     assert_eq!(response.status, 200, "{}", response.text());
     assert_eq!(
         response.text(),
-        api::sweep_body(&direct.sweep(&small_spec(1), &[1, 2, 4]))
+        api::sweep_body(&direct.sweep(
+            &small_spec(1),
+            &[1, 2, 4],
+            GpuDevice::rtx3060(),
+            &TraceContext::disabled()
+        ))
     );
 
     assert!(

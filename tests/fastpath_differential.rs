@@ -40,8 +40,12 @@ fn service_pair(fleet: &[(&str, GpuDevice)]) -> (EstimationService, EstimationSe
 fn assert_matrices_identical(fleet: &[(&str, GpuDevice)], jobs: &[TrainJobSpec]) {
     let (fast, full) = service_pair(fleet);
     let names: Vec<&str> = fleet.iter().map(|&(name, _)| name).collect();
-    let fast_matrix = fast.estimate_matrix(jobs, &names).expect("names resolve");
-    let full_matrix = full.estimate_matrix(jobs, &names).expect("names resolve");
+    let fast_matrix = fast
+        .estimate_matrix(jobs, &names, &TraceContext::disabled())
+        .expect("names resolve");
+    let full_matrix = full
+        .estimate_matrix(jobs, &names, &TraceContext::disabled())
+        .expect("names resolve");
     assert_eq!(
         fast_matrix, full_matrix,
         "fast-path matrix diverged from forced full replays"
@@ -102,7 +106,8 @@ fn roomy_fleet_is_identical_with_zero_full_replays() {
 
     let (fast, _) = service_pair(&fleet);
     let names: Vec<&str> = fleet.iter().map(|&(n, _)| n).collect();
-    fast.estimate_matrix(&jobs, &names).expect("names resolve");
+    fast.estimate_matrix(&jobs, &names, &TraceContext::disabled())
+        .expect("names resolve");
     let stats = fast.sim_stats();
     assert_eq!(
         stats.full_replays, 0,
@@ -143,7 +148,8 @@ fn pressured_fleet_splits_strategies_but_never_diverges() {
 
     let (fast, _) = service_pair(&fleet);
     let names: Vec<&str> = fleet.iter().map(|&(n, _)| n).collect();
-    fast.estimate_matrix(&jobs, &names).expect("names resolve");
+    fast.estimate_matrix(&jobs, &names, &TraceContext::disabled())
+        .expect("names resolve");
     let stats = fast.sim_stats();
     assert!(
         stats.full_replays > 0,
@@ -202,18 +208,32 @@ fn placement_and_admission_agree_across_strategies() {
     let (fast, full) = service_pair(&fleet);
     for spec in job_grid() {
         assert_eq!(
-            fast.best_device_for_job(&spec).expect("estimates"),
-            full.best_device_for_job(&spec).expect("estimates"),
+            fast.best_device_for_job(&spec, &TraceContext::disabled())
+                .expect("estimates"),
+            full.best_device_for_job(&spec, &TraceContext::disabled())
+                .expect("estimates"),
             "placement diverged for {}",
             spec.label()
         );
     }
     let base = TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 1).with_iterations(2);
     assert_eq!(
-        fast.max_batch_for_device(&base, GpuDevice::rtx4060(), 1, 32)
-            .expect("estimates"),
-        full.max_batch_for_device(&base, GpuDevice::rtx4060(), 1, 32)
-            .expect("estimates"),
+        fast.max_batch_for_device(
+            &base,
+            GpuDevice::rtx4060(),
+            1,
+            32,
+            &TraceContext::disabled()
+        )
+        .expect("estimates"),
+        full.max_batch_for_device(
+            &base,
+            GpuDevice::rtx4060(),
+            1,
+            32,
+            &TraceContext::disabled()
+        )
+        .expect("estimates"),
         "admission-control answer diverged"
     );
 }

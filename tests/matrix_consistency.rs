@@ -34,12 +34,44 @@ fn sequential_cell(spec: &TrainJobSpec, device_name: &str) -> Estimate {
         .expect("sequential estimate succeeds")
 }
 
+/// One estimate on a registered device, by name.
+fn estimate_on(
+    service: &EstimationService,
+    spec: &TrainJobSpec,
+    name: &str,
+) -> Result<Estimate, EstimateError> {
+    service.estimate(spec, service.device(Some(name))?, &TraceContext::disabled())
+}
+
+/// Submits one estimate on a named device (`None`: the primary device).
+fn submit_on(
+    service: &AsyncEstimationService,
+    spec: &TrainJobSpec,
+    name: Option<&str>,
+) -> Result<PoolFuture<Result<Estimate, EstimateError>>, SubmitError> {
+    let (spec, name) = (spec.clone(), name.map(str::to_string));
+    service.submit(None, &TraceContext::disabled(), move |s, ctx| {
+        s.estimate(&spec, s.device(name.as_deref())?, ctx)
+    })
+}
+
+/// Submits the whole `jobs` × [`DEVICES`] matrix.
+fn submit_matrix(
+    service: &AsyncEstimationService,
+    jobs: &[TrainJobSpec],
+) -> Result<PoolFuture<Result<DeviceMatrix, EstimateError>>, SubmitError> {
+    let jobs = jobs.to_vec();
+    service.submit(None, &TraceContext::disabled(), move |s, ctx| {
+        s.estimate_matrix(&jobs, &DEVICES, ctx)
+    })
+}
+
 #[test]
 fn matrix_cells_are_bit_identical_to_the_sequential_estimator() {
     let jobs = job_grid();
     let service = EstimationService::for_device(GpuDevice::rtx3060());
     let matrix = service
-        .estimate_matrix(&jobs, &DEVICES)
+        .estimate_matrix(&jobs, &DEVICES, &TraceContext::disabled())
         .expect("builtin devices resolve");
 
     assert_eq!(matrix.devices, DEVICES);
@@ -73,14 +105,14 @@ fn repeat_matrix_and_single_device_queries_are_pure_cache_hits() {
     let jobs = job_grid();
     let service = EstimationService::for_device(GpuDevice::rtx3060());
     let first = service
-        .estimate_matrix(&jobs, &DEVICES)
+        .estimate_matrix(&jobs, &DEVICES, &TraceContext::disabled())
         .expect("devices resolve");
     let analyses = service.profile_runs();
     let sim_runs = service.sim_runs();
 
     // A repeated matrix re-runs nothing: every cell is a sim-shard hit.
     let second = service
-        .estimate_matrix(&jobs, &DEVICES)
+        .estimate_matrix(&jobs, &DEVICES, &TraceContext::disabled())
         .expect("devices resolve");
     assert_eq!(first, second);
     assert_eq!(service.profile_runs(), analyses);
@@ -90,9 +122,7 @@ fn repeat_matrix_and_single_device_queries_are_pure_cache_hits() {
 
     // Cache-key split: a later *single-device* query for one cell hits
     // the device's simulation shard — no profile, no simulation.
-    let single = service
-        .estimate_on(&jobs[1], "rtx4060")
-        .expect("estimation succeeds");
+    let single = estimate_on(&service, &jobs[1], "rtx4060").expect("estimation succeeds");
     assert_eq!(
         &single,
         first.cell(1, "rtx4060").unwrap().estimate.as_ref().unwrap()
@@ -118,12 +148,16 @@ fn concurrent_matrix_and_single_device_queries_never_disagree() {
     );
     // Two whole-matrix queries and a herd of single-device queries for
     // every cell, all in flight at once.
-    let matrix_a = service.submit_matrix(&jobs, &DEVICES).expect("queue room");
-    let mut singles: Vec<(usize, usize, xmem::service::EstimateFuture)> = Vec::new();
+    let matrix_a = submit_matrix(&service, &jobs).expect("queue room");
+    let mut singles = Vec::new();
     for _ in 0..SINGLE_COPIES {
         for (j, spec) in jobs.iter().enumerate() {
             for (d, device) in DEVICES.iter().enumerate() {
-                singles.push((j, d, service.submit_on(spec, device).expect("queue room")));
+                singles.push((
+                    j,
+                    d,
+                    submit_on(&service, spec, Some(device)).expect("queue room"),
+                ));
             }
         }
     }
@@ -132,9 +166,9 @@ fn concurrent_matrix_and_single_device_queries_never_disagree() {
     // the same paper-default configuration).
     let own_device: Vec<_> = jobs
         .iter()
-        .map(|spec| service.submit(spec).expect("queue room"))
+        .map(|spec| submit_on(&service, spec, None).expect("queue room"))
         .collect();
-    let matrix_b = service.submit_matrix(&jobs, &DEVICES).expect("queue room");
+    let matrix_b = submit_matrix(&service, &jobs).expect("queue room");
 
     let matrix_a = block_on(matrix_a).expect("devices resolve");
     let matrix_b = block_on(matrix_b).expect("devices resolve");
@@ -181,12 +215,10 @@ fn shared_service_front_ends_share_the_matrix_caches() {
     let jobs = job_grid();
     let blocking = Arc::new(EstimationService::for_device(GpuDevice::rtx3060()));
     let service = AsyncEstimationService::from_service(Arc::clone(&blocking), 4, 64);
-    let matrix = block_on(service.submit_matrix(&jobs, &DEVICES).expect("queue room"))
-        .expect("devices resolve");
+    let matrix =
+        block_on(submit_matrix(&service, &jobs).expect("queue room")).expect("devices resolve");
     let runs = blocking.sim_runs();
-    let direct = blocking
-        .estimate_on(&jobs[0], "a100")
-        .expect("estimation succeeds");
+    let direct = estimate_on(&blocking, &jobs[0], "a100").expect("estimation succeeds");
     assert_eq!(
         &direct,
         matrix.cell(0, "a100").unwrap().estimate.as_ref().unwrap()
@@ -212,7 +244,7 @@ fn device_reconfiguration_invalidates_only_that_device() {
         ServiceConfig::for_device(GpuDevice::rtx3060()).with_registry(registry),
     );
     let matrix = service
-        .estimate_matrix(&jobs, &["small", "big"])
+        .estimate_matrix(&jobs, &["small", "big"], &TraceContext::disabled())
         .expect("devices resolve");
     let analyses = service.profile_runs();
     let sim_runs = service.sim_runs();
@@ -236,7 +268,7 @@ fn device_reconfiguration_invalidates_only_that_device() {
 
     // `big` keeps its warm entries...
     let hits_before = service.sim_stats().cache.hits;
-    let big = service.estimate_on(&jobs[0], "big").expect("estimates");
+    let big = estimate_on(&service, &jobs[0], "big").expect("estimates");
     assert_eq!(
         &big,
         matrix.cell(0, "big").unwrap().estimate.as_ref().unwrap()
@@ -246,7 +278,7 @@ fn device_reconfiguration_invalidates_only_that_device() {
 
     // ...while `small` re-simulates under its new configuration — without
     // re-profiling: the analysis cache is device-independent.
-    let small = service.estimate_on(&jobs[0], "small").expect("estimates");
+    let small = estimate_on(&service, &jobs[0], "small").expect("estimates");
     assert_eq!(service.sim_runs(), sim_runs + 1);
     assert_eq!(service.profile_runs(), analyses, "analyses survive");
     assert_ne!(
@@ -278,7 +310,7 @@ fn reconfiguring_one_alias_spares_the_shard_other_names_still_own() {
         ServiceConfig::for_device(GpuDevice::rtx3060()).with_registry(registry),
     );
     let job = &job_grid()[0];
-    let warm = service.estimate_on(job, "pool-west").expect("estimates");
+    let warm = estimate_on(&service, job, "pool-west").expect("estimates");
     let sim_runs = service.sim_runs();
 
     service.register_device("pool-east", GpuDevice::a100_40g());
@@ -287,7 +319,7 @@ fn reconfiguring_one_alias_spares_the_shard_other_names_still_own() {
         0,
         "pool-west still maps to the old config, so its shard survives"
     );
-    let still_warm = service.estimate_on(job, "pool-west").expect("estimates");
+    let still_warm = estimate_on(&service, job, "pool-west").expect("estimates");
     assert_eq!(warm, still_warm);
     assert_eq!(service.sim_runs(), sim_runs, "pure cache hit");
 }
@@ -312,11 +344,11 @@ fn unknown_devices_fail_fast_by_name() {
     let service = EstimationService::for_device(GpuDevice::rtx3060());
     let jobs = job_grid();
     assert_eq!(
-        service.estimate_matrix(&jobs, &["rtx3060", "nope"]),
+        service.estimate_matrix(&jobs, &["rtx3060", "nope"], &TraceContext::disabled()),
         Err(EstimateError::UnknownDevice("nope".to_string()))
     );
     assert_eq!(
-        service.estimate_on(&jobs[0], "phantom"),
+        estimate_on(&service, &jobs[0], "phantom"),
         Err(EstimateError::UnknownDevice("phantom".to_string()))
     );
     // Failing fast means no partial work happened.
@@ -333,7 +365,11 @@ fn degenerate_rows_fail_per_cell_without_poisoning_the_matrix() {
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(0);
     let service = EstimationService::for_device(GpuDevice::rtx3060());
     let matrix = service
-        .estimate_matrix(&[healthy.clone(), degenerate], &["rtx3060", "rtx4060"])
+        .estimate_matrix(
+            &[healthy.clone(), degenerate],
+            &["rtx3060", "rtx4060"],
+            &TraceContext::disabled(),
+        )
         .expect("device names resolve; per-job failures stay in cells");
     for device in ["rtx3060", "rtx4060"] {
         assert!(matrix.cell(0, device).unwrap().fits());
@@ -348,29 +384,49 @@ fn degenerate_rows_fail_per_cell_without_poisoning_the_matrix() {
 }
 
 #[test]
-fn sweep_matrix_follows_the_batch_grid_and_matches_single_cells() {
+fn sweeps_follow_the_batch_grid_on_roomy_and_pressured_devices() {
     let base =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 1).with_iterations(2);
     let batches = [8, 2, 4];
-    let service = EstimationService::for_device(GpuDevice::rtx3060());
-    let matrix = service
-        .sweep_matrix(&base, &batches, &["rtx3060", "rtx4060"])
-        .expect("devices resolve");
-    assert_eq!(matrix.rows.len(), batches.len());
-    for (row, &batch) in matrix.rows.iter().zip(&batches) {
-        assert_eq!(row.spec.batch, batch, "rows keep the grid's order");
-        for device in ["rtx3060", "rtx4060"] {
+    let roomy = GpuDevice::rtx3060();
+    // ~48 MiB of job room: less than the job's segment peak at any
+    // batch, so every cell is a bounded replay that runs out of memory.
+    let pressured = GpuDevice {
+        name: "sweep-pressured",
+        capacity: (560 << 20) + 777_777,
+        framework_bytes: 512 << 20,
+        init_bytes: 0,
+    };
+    let service = EstimationService::for_device(roomy);
+    let ctx = TraceContext::disabled();
+    for device in [roomy, pressured] {
+        let swept = service.sweep(&base, &batches, device, &ctx);
+        let grid: Vec<usize> = swept.iter().map(|&(batch, _)| batch).collect();
+        assert_eq!(grid, batches, "results keep the grid's order");
+        for (batch, estimate) in swept {
+            let mut spec = base.clone();
+            spec.batch = batch;
+            let estimate = estimate.expect("sweep cells estimate");
+            assert_eq!(estimate.oom_predicted, device == pressured);
             assert_eq!(
-                row.cell(device).unwrap().estimate.as_ref().unwrap(),
-                &sequential_cell(&row.spec, device)
+                estimate,
+                Estimator::new(EstimatorConfig::for_device(device))
+                    .estimate_job(&spec)
+                    .expect("sequential estimate succeeds"),
+                "sweep cell (batch {batch}, {}) diverged",
+                device.name
             );
+            // The cell landed in the device's shard: a single estimate
+            // of the same point is a pure hit.
+            let sim_runs = service.sim_runs();
+            assert_eq!(service.estimate(&spec, device, &ctx), Ok(estimate));
+            assert_eq!(service.sim_runs(), sim_runs);
         }
     }
     assert_eq!(service.profile_runs(), batches.len() as u64);
     assert_eq!(service.sim_runs(), (batches.len() * 2) as u64);
 }
 
-// ---------------------------------------------------------------------------
 // Golden fixture: one matrix result, pinned byte-for-byte.
 // ---------------------------------------------------------------------------
 
@@ -416,7 +472,7 @@ fn golden_jobs() -> Vec<TrainJobSpec> {
 fn compute_golden_matrix() -> GoldenMatrix {
     let service = EstimationService::for_device(GpuDevice::rtx3060());
     let matrix = service
-        .estimate_matrix(&golden_jobs(), &DEVICES)
+        .estimate_matrix(&golden_jobs(), &DEVICES, &TraceContext::disabled())
         .expect("builtin devices resolve");
     GoldenMatrix {
         devices: matrix.devices.clone(),
@@ -470,7 +526,7 @@ fn best_device_is_the_smallest_fitting_one() {
     let small =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 8).with_iterations(2);
     let placement = service
-        .best_device_for_job(&small)
+        .best_device_for_job(&small, &TraceContext::disabled())
         .expect("estimation succeeds")
         .expect("a device fits");
     assert_eq!(placement.device, "rtx4060");
@@ -485,7 +541,7 @@ fn best_device_is_the_smallest_fitting_one() {
     // the A100 can hold it.
     let heavy = TrainJobSpec::new(ModelId::Pythia1B, OptimizerKind::AdamW, 2).with_iterations(2);
     let placement = service
-        .best_device_for_job(&heavy)
+        .best_device_for_job(&heavy, &TraceContext::disabled())
         .expect("estimation succeeds")
         .expect("the A100 fits");
     assert_eq!(placement.device, "a100");
@@ -507,7 +563,7 @@ fn best_device_is_the_smallest_fitting_one() {
         TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 8).with_iterations(2);
     assert_eq!(
         cramped
-            .best_device_for_job(&heavy_for_tiny)
+            .best_device_for_job(&heavy_for_tiny, &TraceContext::disabled())
             .expect("estimation succeeds"),
         None
     );

@@ -46,9 +46,8 @@ fn spec(batch: usize) -> TrainJobSpec {
 }
 
 /// Populates a fresh service on `dir` and returns the expected
-/// estimates. Uses both the primary-device path (`estimate`) and a
-/// named-device path (`estimate_on`) so all three record kinds — stage,
-/// replay, sim cell — hit the journal.
+/// estimates. Estimates on both the primary device and a named device,
+/// so all three record kinds — stage, replay, sim cell — hit the journal.
 fn populate(dir: &Path, batches: &[usize]) -> Vec<Estimate> {
     let service = EstimationService::new(config(dir));
     assert!(service.persist_stats().enabled, "persistence must engage");
@@ -56,8 +55,13 @@ fn populate(dir: &Path, batches: &[usize]) -> Vec<Estimate> {
         .iter()
         .map(|&b| {
             let job = spec(b);
-            let on_device = service.estimate_on(&job, "rtx4060").expect("estimates");
-            let primary = service.estimate(&job).expect("estimates");
+            let named = service.device(Some("rtx4060")).expect("registered");
+            let on_device = service
+                .estimate(&job, named, &TraceContext::disabled())
+                .expect("estimates");
+            let primary = service
+                .estimate(&job, GpuDevice::rtx3060(), &TraceContext::disabled())
+                .expect("estimates");
             assert!(on_device.peak_bytes > 0);
             primary
         })
@@ -71,7 +75,9 @@ fn assert_warm_boot(dir: &Path, batches: &[usize], expected: &[Estimate]) {
     let stats = service.persist_stats();
     assert!(stats.recovered_entries > 0, "nothing recovered: {stats:?}");
     for (&b, want) in batches.iter().zip(expected) {
-        let got = service.estimate(&spec(b)).expect("warm estimate");
+        let got = service
+            .estimate(&spec(b), GpuDevice::rtx3060(), &TraceContext::disabled())
+            .expect("warm estimate");
         assert_eq!(&got, want, "batch {b} diverged after warm boot");
     }
     assert_eq!(
@@ -166,7 +172,7 @@ fn every_journal_truncation_point_recovers_to_a_valid_prefix() {
         for (&b, want) in batches.iter().zip(&expected) {
             let before = service.profile_runs();
             let got = service
-                .estimate(&spec(b))
+                .estimate(&spec(b), GpuDevice::rtx3060(), &TraceContext::disabled())
                 .expect("estimate after torn boot");
             if service.profile_runs() == before {
                 // Served from recovered state: must be bit-identical.
@@ -207,7 +213,7 @@ fn corrupt_journal_record_ends_replay_at_the_valid_prefix() {
     // The service still boots and still serves (re-profiling what the
     // corruption cost it).
     let estimate = service
-        .estimate(&spec(4))
+        .estimate(&spec(4), GpuDevice::rtx3060(), &TraceContext::disabled())
         .expect("post-corruption estimate");
     assert!(estimate.peak_bytes > 0);
 }
@@ -302,7 +308,9 @@ fn corrupt_snapshot_header_falls_back_to_the_journal() {
         "journal still recovered: {stats:?}"
     );
     for (&b, want) in batches.iter().zip(&expected) {
-        let got = service.estimate(&spec(b)).expect("estimate");
+        let got = service
+            .estimate(&spec(b), GpuDevice::rtx3060(), &TraceContext::disabled())
+            .expect("estimate");
         assert_eq!(&got, want, "journal-recovered entry diverged");
     }
     assert_eq!(service.profile_runs(), 0);
@@ -325,7 +333,13 @@ fn reader_without_param_support_still_recovers_all_stage_replay_sim_entries() {
     // enough distinct points to pay the three-anchor fit.
     {
         let service = EstimationService::new(config(dir.path()));
-        for (_, outcome) in service.sweep(&spec(1), &[1, 2, 4, 8, 16]) {
+        let primary = GpuDevice::rtx3060();
+        for (_, outcome) in service.sweep(
+            &spec(1),
+            &[1, 2, 4, 8, 16],
+            primary,
+            &TraceContext::disabled(),
+        ) {
             outcome.expect("sweep estimates");
         }
     }
@@ -527,7 +541,9 @@ fn tuner_records_for_unknown_tiers_are_skipped() {
         "no known tier may have absorbed the unknown record"
     );
     for (&b, want) in batches.iter().zip(&expected) {
-        let got = service.estimate(&spec(b)).expect("warm estimate");
+        let got = service
+            .estimate(&spec(b), GpuDevice::rtx3060(), &TraceContext::disabled())
+            .expect("warm estimate");
         assert_eq!(&got, want);
     }
     assert_eq!(service.profile_runs(), 0);
@@ -541,7 +557,7 @@ fn sim_cells_for_unregistered_devices_are_skipped() {
     let batches = [4usize];
     let _ = populate(dir.path(), &batches);
     // Reboot with a registry that no longer knows any named device: the
-    // rtx4060 sim cells (written via `estimate_on`) match neither the
+    // rtx4060 sim cells (written by the named estimates) match neither the
     // empty registry nor the rtx3060 primary, so they are orphaned.
     let service = EstimationService::new(
         ServiceConfig::for_device(GpuDevice::rtx3060())
@@ -556,7 +572,9 @@ fn sim_cells_for_unregistered_devices_are_skipped() {
     // Stage + replay records are device-independent and still recover.
     assert!(stats.recovered_entries > 0, "{stats:?}");
     assert_eq!(service.profile_runs(), 0);
-    let _ = service.estimate(&spec(4)).expect("warm estimate");
+    let _ = service
+        .estimate(&spec(4), GpuDevice::rtx3060(), &TraceContext::disabled())
+        .expect("warm estimate");
     // The analysis was recovered, so serving still pays no profile run.
     assert_eq!(service.profile_runs(), 0);
 }

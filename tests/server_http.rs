@@ -50,17 +50,30 @@ fn concurrent_keep_alive_clients_get_bit_identical_answers() {
         expected.push((
             "/v1/estimate".to_string(),
             job_json(job),
-            api::estimate_body(&direct.estimate(job).expect("estimates")),
+            api::estimate_body(
+                &direct
+                    .estimate(job, GpuDevice::rtx3060(), &TraceContext::disabled())
+                    .expect("estimates"),
+            ),
         ));
         expected.push((
             "/v1/estimate".to_string(),
             format!("{{\"job\":{},\"device\":\"rtx4060\"}}", job_json(job)),
-            api::estimate_body(&direct.estimate_on(job, "rtx4060").expect("estimates")),
+            api::estimate_body(
+                &direct
+                    .estimate(job, GpuDevice::rtx4060(), &TraceContext::disabled())
+                    .expect("estimates"),
+            ),
         ));
         expected.push((
             "/v1/best-device".to_string(),
             job_json(job),
-            api::placement_body(direct.best_device_for_job(job).expect("places").as_ref()),
+            api::placement_body(
+                direct
+                    .best_device_for_job(job, &TraceContext::disabled())
+                    .expect("places")
+                    .as_ref(),
+            ),
         ));
     }
     let expected = Arc::new(expected);
@@ -112,7 +125,7 @@ fn matrix_and_sweep_responses_match_direct_rendering() {
     assert_eq!(response.status, 200);
     let direct = service
         .service()
-        .estimate_matrix(&jobs, &["rtx3060", "a100"])
+        .estimate_matrix(&jobs, &["rtx3060", "a100"], &TraceContext::disabled())
         .expect("direct matrix");
     assert_eq!(response.text(), api::matrix_body(&direct));
 
@@ -124,7 +137,12 @@ fn matrix_and_sweep_responses_match_direct_rendering() {
         .post_json("/v1/sweep", &sweep_request)
         .expect("sweep");
     assert_eq!(response.status, 200);
-    let direct_sweep = service.service().sweep(&small_spec(1), &[1, 2, 4]);
+    let direct_sweep = service.service().sweep(
+        &small_spec(1),
+        &[1, 2, 4],
+        GpuDevice::rtx3060(),
+        &TraceContext::disabled(),
+    );
     assert_eq!(response.text(), api::sweep_body(&direct_sweep));
 
     let report = server.shutdown();
@@ -147,7 +165,12 @@ fn grid_routes_accept_jobs_without_a_batch_field() {
         .post_json("/v1/sweep", &sweep_request)
         .expect("sweep");
     assert_eq!(response.status, 200, "{}", response.text());
-    let direct_sweep = service.service().sweep(&small_spec(1), &[1, 2, 4]);
+    let direct_sweep = service.service().sweep(
+        &small_spec(1),
+        &[1, 2, 4],
+        GpuDevice::rtx3060(),
+        &TraceContext::disabled(),
+    );
     assert_eq!(response.text(), api::sweep_body(&direct_sweep));
 
     let plan_request = format!("{{\"job\":{batchless},\"device\":\"rtx3060\",\"max\":64}}");
@@ -160,7 +183,7 @@ fn grid_routes_accept_jobs_without_a_batch_field() {
         .expect("registered device");
     let direct_plan = service
         .service()
-        .max_batch_for_device(&small_spec(1), device, 1, 64)
+        .max_batch_for_device(&small_spec(1), device, 1, 64, &TraceContext::disabled())
         .expect("direct plan");
     assert_eq!(response.text(), api::plan_body(direct_plan));
 

@@ -45,7 +45,14 @@ fn concurrent_calls_match_the_sequential_estimator_bit_for_bit() {
                         .cycle()
                         .skip(worker % specs.len())
                         .take(specs.len())
-                        .map(|(i, s)| (i, service.estimate(s).expect("service estimate")))
+                        .map(|(i, s)| {
+                            (
+                                i,
+                                service
+                                    .estimate(s, device, &TraceContext::disabled())
+                                    .expect("service estimate"),
+                            )
+                        })
                         .collect();
                     mine.sort_by_key(|&(i, _)| i);
                     mine.into_iter().map(|(_, e)| e).collect::<Vec<_>>()
@@ -78,8 +85,12 @@ fn cache_hit_path_returns_the_same_estimate_as_the_cold_path() {
     let device = GpuDevice::rtx3060();
     let service = EstimationService::new(ServiceConfig::for_device(device));
     for spec in specs_under_test() {
-        let cold = service.estimate(&spec).expect("cold estimate");
-        let warm = service.estimate(&spec).expect("warm estimate");
+        let cold = service
+            .estimate(&spec, device, &TraceContext::disabled())
+            .expect("cold estimate");
+        let warm = service
+            .estimate(&spec, device, &TraceContext::disabled())
+            .expect("warm estimate");
         assert_eq!(cold, warm, "cache must not perturb {}", spec.label());
     }
     let stats = service.cache_stats();
@@ -105,7 +116,7 @@ fn sweep_matches_a_sequential_estimator_loop() {
         .collect();
 
     let service = EstimationService::new(ServiceConfig::for_device(device));
-    let swept = service.sweep(&base, &batches);
+    let swept = service.sweep(&base, &batches, device, &TraceContext::disabled());
     assert_eq!(swept.len(), batches.len());
     for ((batch, estimate), (want_batch, want)) in swept.iter().zip(batches.iter().zip(&expected)) {
         assert_eq!(batch, want_batch);
@@ -118,7 +129,7 @@ fn sweep_matches_a_sequential_estimator_loop() {
 
     // A repeated sweep is answered entirely from cache: no new profiling.
     let insertions_before = service.cache_stats().insertions;
-    let again = service.sweep(&base, &batches);
+    let again = service.sweep(&base, &batches, device, &TraceContext::disabled());
     let stats = service.cache_stats();
     assert_eq!(
         stats.insertions, insertions_before,

@@ -1,14 +1,15 @@
 //! The incremental-sweep differential suite: every cell an incremental
 //! (parameterized-replay) sweep produces must be **bit-identical** to the
 //! sequential per-batch `Estimator` and to a service with the incremental
-//! path forced off — across roomy devices (cells derived from one
-//! unbounded buffer replay), pressured devices (cells replayed bounded
-//! from the materialized buffer), and deterministic pseudo-random fleets
+//! path forced off — across roomy and pressured devices (each cell one
+//! bounded replay of the materialized buffer) and deterministic
+//! pseudo-random fleets
 //! with page-unaligned capacities. The counters must prove the contract
 //! exactly: a B-point sweep performs **one** parameterized fit from three
 //! anchor profiles, every cell counts as `incremental_cells`, and
 //! `fast_path_hits + full_replays + incremental_cells == sim_runs`.
 
+use xmem::core::EstimateError;
 use xmem::prelude::*;
 use xmem::service::ServiceConfig;
 
@@ -36,6 +37,18 @@ fn sequential_cell(spec: &TrainJobSpec, device: GpuDevice) -> Estimate {
 
 /// A pair of services over the same fleet: one with the incremental
 /// sweep (the default), one with it forced off.
+/// Sweeps `base` over [`BATCHES`] once per fleet device, in fleet order.
+fn sweep_fleet(
+    service: &EstimationService,
+    base: &TrainJobSpec,
+    fleet: &[(&str, GpuDevice)],
+) -> Vec<Vec<(usize, Result<Estimate, EstimateError>)>> {
+    fleet
+        .iter()
+        .map(|&(_, device)| service.sweep(base, &BATCHES, device, &TraceContext::disabled()))
+        .collect()
+}
+
 fn service_pair(fleet: &[(&str, GpuDevice)]) -> (EstimationService, EstimationService) {
     let build = |incremental: bool| {
         let registry = DeviceRegistry::empty();
@@ -55,7 +68,12 @@ fn service_pair(fleet: &[(&str, GpuDevice)]) -> (EstimationService, EstimationSe
 fn incremental_sweep_is_bit_identical_to_the_sequential_estimator() {
     let base = base_job();
     let service = EstimationService::for_device(GpuDevice::rtx3060());
-    let cells = service.sweep(&base, &BATCHES);
+    let cells = service.sweep(
+        &base,
+        &BATCHES,
+        GpuDevice::rtx3060(),
+        &TraceContext::disabled(),
+    );
 
     assert_eq!(cells.len(), BATCHES.len());
     for (batch, estimate) in &cells {
@@ -85,24 +103,24 @@ fn incremental_sweep_is_bit_identical_to_the_sequential_estimator() {
 fn repeated_sweeps_reuse_one_parameterized_fit() {
     let base = base_job();
     let service = EstimationService::for_device(GpuDevice::rtx3060());
-    let first = service.sweep(&base, &BATCHES);
-    let second = service.sweep(&base, &BATCHES);
+    let (device, ctx) = (GpuDevice::rtx3060(), TraceContext::disabled());
+    let first = service.sweep(&base, &BATCHES, device, &ctx);
+    let second = service.sweep(&base, &BATCHES, device, &ctx);
     assert_eq!(first.len(), second.len());
     for ((b1, e1), (b2, e2)) in first.iter().zip(&second) {
         assert_eq!(b1, b2);
         assert_eq!(e1.as_ref().unwrap(), e2.as_ref().unwrap());
     }
     // A narrower re-sweep inside the fitted range reuses the same fit.
-    service.sweep(&base, &[2, 3, 4, 6]);
+    service.sweep(&base, &[2, 3, 4, 6], device, &ctx);
     assert_eq!(service.profile_runs(), 3, "anchors profile once");
     assert_eq!(service.sim_stats().param_replays, 1, "the fit is cached");
 }
 
 #[test]
-fn sweep_matrix_is_identical_across_roomy_and_pressured_devices() {
-    // One roomy column (derived from an unbounded buffer replay) and two
-    // pressured columns (bounded replays of the same materialized
-    // buffer), byte-granular capacities.
+fn per_device_sweeps_are_identical_across_roomy_and_pressured_devices() {
+    // One roomy device and two pressured ones (bounded replays of the
+    // same materialized buffer), byte-granular capacities.
     let fleet = [
         ("roomy", GpuDevice::a100_40g()),
         (
@@ -125,28 +143,22 @@ fn sweep_matrix_is_identical_across_roomy_and_pressured_devices() {
         ),
     ];
     let base = base_job();
-    let names: Vec<&str> = fleet.iter().map(|&(name, _)| name).collect();
     let (incremental, full) = service_pair(&fleet);
 
-    let inc_matrix = incremental
-        .sweep_matrix(&base, &BATCHES, &names)
-        .expect("names resolve");
-    let full_matrix = full
-        .sweep_matrix(&base, &BATCHES, &names)
-        .expect("names resolve");
+    let inc_sweeps = sweep_fleet(&incremental, &base, &fleet);
     assert_eq!(
-        inc_matrix, full_matrix,
-        "incremental sweep matrix diverged from per-batch profiling"
+        inc_sweeps,
+        sweep_fleet(&full, &base, &fleet),
+        "incremental sweeps diverged from per-batch profiling"
     );
 
     // Cell-level anchor against the sequential estimator.
-    for (row, &batch) in inc_matrix.rows.iter().zip(&BATCHES) {
-        let spec = job_at(&base, batch);
-        assert_eq!(row.spec, spec, "rows keep the swept batch order");
-        for &(name, device) in &fleet {
+    for (cells, &(name, device)) in inc_sweeps.iter().zip(&fleet) {
+        for ((batch, estimate), &expected_batch) in cells.iter().zip(&BATCHES) {
+            assert_eq!(*batch, expected_batch, "results keep the swept batch order");
             assert_eq!(
-                row.cell(name).expect("cell").estimate.as_ref().unwrap(),
-                &sequential_cell(&spec, device),
+                estimate.as_ref().unwrap(),
+                &sequential_cell(&job_at(&base, *batch), device),
                 "cell (batch {batch}, {name}) diverged from the sequential estimator"
             );
         }
@@ -194,14 +206,10 @@ fn pseudo_random_fleets_agree_across_sweep_strategies() {
                 )
             })
             .collect();
-        let names: Vec<&str> = fleet.iter().map(|&(name, _)| name).collect();
         let (incremental, full) = service_pair(&fleet);
         assert_eq!(
-            incremental
-                .sweep_matrix(&base, &BATCHES, &names)
-                .expect("names resolve"),
-            full.sweep_matrix(&base, &BATCHES, &names)
-                .expect("names resolve"),
+            sweep_fleet(&incremental, &base, &fleet),
+            sweep_fleet(&full, &base, &fleet),
             "sweep strategies diverged on a pseudo-random fleet"
         );
         assert_eq!(incremental.profile_runs(), 3);
@@ -218,10 +226,10 @@ fn admission_bisection_agrees_across_sweep_strategies() {
     let (incremental, full) = service_pair(&[]);
     let device = GpuDevice::rtx4060();
     let inc_answer = incremental
-        .max_batch_for_device(&base, device, 1, 32)
+        .max_batch_for_device(&base, device, 1, 32, &TraceContext::disabled())
         .expect("estimates");
     let full_answer = full
-        .max_batch_for_device(&base, device, 1, 32)
+        .max_batch_for_device(&base, device, 1, 32, &TraceContext::disabled())
         .expect("estimates");
     assert_eq!(inc_answer, full_answer, "admission-control answer diverged");
     assert_eq!(
@@ -236,27 +244,4 @@ fn admission_bisection_agrees_across_sweep_strategies() {
         sims.fast_path_hits + sims.full_replays + sims.incremental_cells,
         sims.sim_runs
     );
-}
-
-#[test]
-fn ineligible_configs_produce_identical_cells_via_full_replay() {
-    // A timeline-recording estimator cannot use the parameterized path
-    // (the fit has no per-op timeline); the sweep must silently fall
-    // back and still agree cell-for-cell with the default service.
-    let base = base_job();
-    let mut config = ServiceConfig::for_device(GpuDevice::rtx3060());
-    config.estimator.record_timeline = true;
-    let timeline = EstimationService::new(config);
-    let cells = timeline.sweep(&base, &BATCHES);
-    assert_eq!(timeline.sim_stats().param_replays, 0, "gate must reject");
-    assert_eq!(timeline.sim_stats().incremental_cells, 0);
-
-    let default = EstimationService::for_device(GpuDevice::rtx3060());
-    let default_cells = default.sweep(&base, &BATCHES);
-    for ((b1, e1), (b2, e2)) in cells.iter().zip(&default_cells) {
-        assert_eq!(b1, b2);
-        let (e1, e2) = (e1.as_ref().unwrap(), e2.as_ref().unwrap());
-        assert_eq!(e1.peak_bytes, e2.peak_bytes, "batch {b1}");
-        assert_eq!(e1.oom_predicted, e2.oom_predicted, "batch {b1}");
-    }
 }
