@@ -2,13 +2,14 @@
 //!
 //! Times the hot paths the service layers optimize — single estimates
 //! (cold, warm, and warm with the full request-tracing envelope on),
-//! N×D matrix replay with the pressure-aware fast path
-//! on and off, contended simulation-cell cache hits, raw allocator replay
-//! throughput, the O(1) LRU against a scan-based reference, the
-//! crash-consistent persistence layer (snapshot write cost, warm-boot
-//! recovery, and the first estimate after a restart), and a cold
-//! batch-size sweep with the incremental parameterized replay on and off
-//! — and emits a machine-readable `BENCH_estimator.json` so every PR has
+//! N×D matrix replay with the pressure-aware fast path against one
+//! sequential bounded replay per cell, contended simulation-cell cache
+//! hits, raw allocator replay throughput, the O(1) LRU against a
+//! scan-based reference, the crash-consistent persistence layer (snapshot
+//! write cost, warm-boot recovery, and the first estimate after a
+//! restart), and a cold batch-size sweep with the incremental
+//! parameterized replay against the sequential per-batch `Estimator` —
+//! and emits a machine-readable `BENCH_estimator.json` so every PR has
 //! a measurable trajectory.
 //!
 //! Usage: `perf [--quick] [--out PATH]`
@@ -20,7 +21,7 @@
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use xmem_core::{Analyzer, Orchestrator, Simulator};
+use xmem_core::{Analyzer, Estimator, EstimatorConfig, Orchestrator, Simulator};
 use xmem_models::ModelId;
 use xmem_optim::OptimizerKind;
 use xmem_runtime::{profile_on_cpu, GpuDevice, TrainJobSpec};
@@ -158,7 +159,7 @@ fn register_fleet(service: &EstimationService) {
 }
 
 /// Times one matrix replay over prewarmed analyses (profiling excluded),
-/// so fast vs full compares only the simulation fan-out.
+/// so it compares with `matrix_replay_full` on simulation alone.
 fn matrix_replay(service: &EstimationService, name: &str) -> Benchmark {
     let jobs = jobs();
     for job in &jobs {
@@ -263,7 +264,7 @@ fn main() {
         pct
     };
 
-    // --- N x D matrix replay: fast path vs forced full replays -----------
+    // --- N x D matrix replay: fast path vs sequential full replays --------
     let fast_service = EstimationService::for_device(GpuDevice::rtx3060());
     register_fleet(&fast_service);
     let fast = matrix_replay(&fast_service, "matrix_replay_fast");
@@ -274,12 +275,39 @@ fn main() {
     );
     assert_eq!(stats.unbounded_replays, jobs().len() as u64);
 
-    let full_service = EstimationService::new(
-        ServiceConfig::for_device(GpuDevice::rtx3060()).with_fast_path(false),
-    );
-    register_fleet(&full_service);
-    let full = matrix_replay(&full_service, "matrix_replay_full");
-    assert_eq!(full_service.sim_stats().fast_path_hits, 0);
+    // The reference: the same cells through the sequential Estimator, one
+    // bounded replay per cell over the same (untimed) analyses.
+    let full = {
+        let analyses: Vec<_> = jobs()
+            .iter()
+            .map(|job| Analyzer::new().analyze(&profile_on_cpu(job)))
+            .collect::<Result<_, _>>()
+            .expect("benchmark jobs analyze");
+        let devices: Vec<GpuDevice> = FLEET
+            .iter()
+            .map(|name| {
+                fast_service
+                    .registry()
+                    .get(name)
+                    .expect("fleet is registered")
+            })
+            .collect();
+        let started = Instant::now();
+        for analyzed in &analyses {
+            for &device in &devices {
+                std::hint::black_box(
+                    Estimator::new(EstimatorConfig::for_device(device)).estimate_analyzed(analyzed),
+                );
+            }
+        }
+        let total_ns = started.elapsed().as_nanos() as u64;
+        finish(
+            "matrix_replay_full",
+            "cell",
+            (analyses.len() * devices.len()) as u64,
+            total_ns,
+        )
+    };
     let matrix_fast_path_speedup = full.ns_per_op / fast.ns_per_op.max(1.0);
 
     // Warm matrix: every cell is a pure sim-shard hit.
@@ -434,21 +462,26 @@ fn main() {
     };
 
     // --- incremental sweep vs full per-batch sweep -------------------------
-    // Two fresh services, each timed cold over the same dense batch grid:
-    // one with the parameterized-replay sweep disabled (every batch point
-    // profiles + analyzes from scratch), one with it on (3 anchor profiles
-    // fit an affine per-event model, every other cell is derived). Cells
-    // must be bit-identical; only the work to produce them differs.
+    // Both timed cold over the same dense batch grid: the sequential
+    // Estimator (every batch point profiles + analyzes from scratch), and
+    // a fresh service's incremental sweep (3 anchor profiles fit an affine
+    // per-event model, every other cell is derived). Cells must be
+    // bit-identical; only the work to produce them differs.
     let (sweep_incremental_speedup, sweep_counters) = {
         let batches: Vec<usize> = (1..=if quick { 12 } else { 48 }).collect();
         let base =
             TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 1).with_iterations(2);
 
-        let full_sweep = EstimationService::new(
-            ServiceConfig::for_device(GpuDevice::rtx3060()).with_incremental_sweep(false),
-        );
+        let estimator = Estimator::new(EstimatorConfig::for_device(primary));
         let started = Instant::now();
-        let full_cells = full_sweep.sweep(&base, &batches, primary, &TraceContext::disabled());
+        let full_cells: Vec<_> = batches
+            .iter()
+            .map(|&batch| {
+                let mut spec = base.clone();
+                spec.batch = batch;
+                (batch, estimator.estimate_job(&spec))
+            })
+            .collect();
         let full = finish(
             "sweep_full",
             "cell",

@@ -10,7 +10,7 @@ pub enum EstimateError {
     /// cannot be delimited.
     MissingIterations,
     /// The query was cancelled before a result was produced (async front
-    /// end: `EstimateFuture::cancel`).
+    /// end: `PoolFuture::cancel`).
     Cancelled,
     /// The query's deadline elapsed before a result was produced (async
     /// front end: per-query deadlines).

@@ -1,8 +1,8 @@
 //! Server-level observability: wire counters, per-route latency
 //! histograms, and the Prometheus text rendering of everything the
 //! process knows — including every counter the underlying estimation
-//! service already tracks (cache, single-flight, negative cache,
-//! simulation shards, replay-strategy split).
+//! service already tracks (cache, single-flight, simulation shards,
+//! replay-strategy split).
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -261,8 +261,8 @@ impl ServerMetrics {
 
     /// Renders the Prometheus text exposition: every server counter above
     /// plus the estimation service's own counters (stage cache,
-    /// single-flight, negative cache, simulation shards, replay-strategy
-    /// split, profile runs).
+    /// single-flight, simulation shards, replay-strategy split, profile
+    /// runs).
     #[must_use]
     pub fn render_prometheus(&self, service: &EstimationService) -> String {
         let mut out = String::with_capacity(8 * 1024);
@@ -510,22 +510,6 @@ impl ServerMetrics {
             "Queries coalesced onto another caller's in-flight run",
             flights.coalesced,
         );
-        let negative = service.negative_stats();
-        let _ = writeln!(
-            out,
-            "# HELP xmem_negative_cache_events_total Negative-cache counter events"
-        );
-        let _ = writeln!(out, "# TYPE xmem_negative_cache_events_total counter");
-        for (event, value) in [
-            ("hit", negative.hits),
-            ("insert", negative.insertions),
-            ("evict", negative.evictions),
-        ] {
-            let _ = writeln!(
-                out,
-                "xmem_negative_cache_events_total{{event=\"{event}\"}} {value}"
-            );
-        }
         let sims = service.sim_stats();
         let _ = writeln!(
             out,

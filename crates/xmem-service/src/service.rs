@@ -7,7 +7,6 @@ use crate::cache::{CacheStats, ShardedLruCache};
 use crate::executor::{SubmitError, WorkerPool};
 use crate::future::{promise_pair, PoolFuture};
 use crate::key::{JobKey, SweepKey};
-use crate::negative::{NegativeCache, NegativeStats};
 use crate::persist::{PersistStats, PersistedDevice, Persister, StateRecord};
 use crate::registry::DeviceRegistry;
 use crate::simcache::{DeviceFingerprint, SimShards, SimStats};
@@ -18,7 +17,7 @@ use crate::timer::DeadlineTimer;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use xmem_core::{
     AnalyzedTrace, Analyzer, DeviceMatrix, DevicePlacement, Estimate, EstimateError, Estimator,
     EstimatorConfig, MatrixCell, MatrixRow, Orchestrator, ParamReplay, UnboundedReplay,
@@ -34,19 +33,17 @@ type SimKey = (JobKey, DeviceFingerprint);
 /// profiler trace and its analysis. Orchestration + simulation are cheap
 /// and device-dependent, so they re-run per query.
 ///
-/// The raw trace is retained alongside the analysis (unless
-/// [`ServiceConfig::with_trace_retention`] opts out) so
+/// The raw trace is retained alongside the analysis so
 /// [`EstimationService::stages`] callers can export or re-analyze a
 /// profiled job without re-profiling it; estimation itself only reads
 /// `analyzed`. Traces dominate an entry's footprint (hundreds of KB to
 /// MBs for large models) — size `ServiceConfig::cache_capacity` to the
-/// memory budget, pair it with
-/// [`ServiceConfig::with_cache_bytes_budget`], or drop traces entirely
-/// for estimate-only deployments.
+/// memory budget, or pair it with
+/// [`ServiceConfig::with_cache_bytes_budget`].
 #[derive(Debug)]
 pub struct ProfiledStages {
-    /// The raw CPU profiler trace, or `None` when the service was
-    /// configured not to retain traces.
+    /// The raw CPU profiler trace, or `None` for an entry recovered from
+    /// persisted state (persistence keeps only the analysis).
     pub trace: Option<Trace>,
     /// The Analyzer's output over that trace.
     pub analyzed: AnalyzedTrace,
@@ -61,9 +58,14 @@ impl ProfiledStages {
     }
 }
 
+/// One stage-cache entry: the profiled stages, or the Analyzer's error.
+/// Both are deterministic in the job key, so a degenerate job's error is
+/// cached and served like any other entry.
+type StageEntry = Result<Arc<ProfiledStages>, EstimateError>;
+
 /// Weigher pricing stage-cache entries for the optional bytes budget.
-fn stages_weight(stages: &Arc<ProfiledStages>) -> u64 {
-    stages.approx_bytes()
+fn stages_weight(entry: &StageEntry) -> u64 {
+    entry.as_ref().map_or(0, |stages| stages.approx_bytes())
 }
 
 /// The cached outcome of one parameterized-replay fit attempt over a
@@ -86,6 +88,11 @@ const MIN_INCREMENTAL_POINTS: usize = 4;
 /// hundred KiB, so a small LRU covers realistic scheduler workloads.
 const PARAM_CACHE_CAPACITY: usize = 32;
 
+/// Fleet cap on per-device simulation shards: past it, the
+/// least-recently-used device shard is retired (counter history
+/// preserved). Bounds memory for registries churned programmatically.
+const MAX_DEVICE_SHARDS: usize = 64;
+
 /// Configuration of an [`EstimationService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -101,12 +108,6 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Worker threads for [`EstimationService::sweep`] (0 = all cores).
     pub threads: usize,
-    /// How long an Analyzer failure for a degenerate job is remembered
-    /// before the job is re-verified. `Duration::ZERO` disables negative
-    /// caching.
-    pub negative_ttl: Duration,
-    /// Bound on remembered failures (oldest evicted beyond it).
-    pub negative_capacity: usize,
     /// Named simulation targets for matrix / placement queries
     /// ([`EstimationService::estimate_matrix`],
     /// [`EstimationService::best_device_for_job`]).
@@ -115,47 +116,17 @@ pub struct ServiceConfig {
     /// [`ProfiledStages::approx_bytes`] and evicted LRU-first until the
     /// budget holds. `None` bounds the cache by entry count only.
     pub cache_bytes_budget: Option<u64>,
-    /// Whether cached stages keep the raw profiler trace. Estimate-only
-    /// deployments can drop it — traces dominate entry cost and only
-    /// export/re-analysis paths read them.
-    pub retain_traces: bool,
-    /// Whether the pressure-aware replay fast path is enabled: roomy
-    /// devices derive their cells from one cached unbounded replay per
-    /// job instead of paying a full stateful replay each. Results are
-    /// bit-identical either way (differentially tested); disabling is for
-    /// benchmarking and defect isolation.
-    pub fast_path: bool,
-    /// Fleet cap on per-device simulation shards: past it, the
-    /// least-recently-used device shard is retired (counter history
-    /// preserved). Bounds memory for registries churned programmatically.
-    pub max_device_shards: usize,
-    /// Tiering policy applied to every cache tier the service owns
-    /// (stage, replay, param, and per-device sim shards): adaptive
-    /// self-tuning SLRU by default, a pinned static split via
-    /// [`with_segmented_admission`](Self::with_segmented_admission), or
-    /// [`TieringMode::Off`] for plain LRU (bit-compat baselines and
-    /// defect isolation). See [`ShardedLruCache::with_tiering`].
-    pub tiering: TieringMode,
     /// Optional state directory for crash-consistent persistence: cache
     /// inserts are journaled, snapshots compact the journal, and boot
     /// replays the on-disk state so restarts are warm (see the
     /// `persist` module docs for the on-disk format and recovery
     /// semantics). `None` (default) keeps the service purely in-memory.
     pub state_dir: Option<PathBuf>,
-    /// Whether the incremental sweep path is enabled: a qualifying
-    /// batch sweep fits **one** parameterized replay from three profiled
-    /// anchor batches and materializes every other cell from it instead
-    /// of profiling per batch. The fit is proven exact before use
-    /// (non-affine segments fall back to full per-batch replays), so
-    /// results are bit-identical either way; disabling is for
-    /// benchmarking and defect isolation.
-    pub incremental_sweep: bool,
 }
 
 impl ServiceConfig {
     /// Service defaults (16-way sharded 256-entry cache, all cores,
-    /// 30-second negative TTL, built-in device registry) for a target
-    /// device.
+    /// built-in device registry) for a target device.
     #[must_use]
     pub fn for_device(device: GpuDevice) -> Self {
         ServiceConfig {
@@ -163,35 +134,10 @@ impl ServiceConfig {
             cache_capacity: 256,
             shards: 16,
             threads: 0,
-            negative_ttl: Duration::from_secs(30),
-            negative_capacity: 256,
             registry: DeviceRegistry::builtin(),
             cache_bytes_budget: None,
-            retain_traces: true,
-            fast_path: true,
-            max_device_shards: 64,
-            tiering: TieringMode::default(),
             state_dir: None,
-            incremental_sweep: true,
         }
-    }
-
-    /// Pins a *static* segmented (probation/protected) split on every
-    /// cache tier, disabling the online tuner (see
-    /// [`tiering`](Self::tiering)).
-    #[must_use]
-    pub fn with_segmented_admission(mut self, protected_frac: f64) -> Self {
-        self.tiering = TieringMode::Static(protected_frac);
-        self
-    }
-
-    /// Overrides the tiering policy for every cache tier (see
-    /// [`tiering`](Self::tiering)). `TieringMode::Off` restores plain
-    /// LRU; `TieringMode::adaptive()` is the default.
-    #[must_use]
-    pub fn with_tiering(mut self, mode: TieringMode) -> Self {
-        self.tiering = mode;
-        self
     }
 
     /// Overrides the device registry (the cluster's fleet description).
@@ -215,42 +161,11 @@ impl ServiceConfig {
         self
     }
 
-    /// Overrides the negative-caching TTL (`Duration::ZERO` disables it).
-    #[must_use]
-    pub fn with_negative_ttl(mut self, ttl: Duration) -> Self {
-        self.negative_ttl = ttl;
-        self
-    }
-
     /// Caps the stage cache's resident bytes (see
     /// [`cache_bytes_budget`](Self::cache_bytes_budget)).
     #[must_use]
     pub fn with_cache_bytes_budget(mut self, bytes: u64) -> Self {
         self.cache_bytes_budget = Some(bytes);
-        self
-    }
-
-    /// Controls raw-trace retention in the stage cache (see
-    /// [`retain_traces`](Self::retain_traces)).
-    #[must_use]
-    pub fn with_trace_retention(mut self, retain: bool) -> Self {
-        self.retain_traces = retain;
-        self
-    }
-
-    /// Enables or disables the pressure-aware replay fast path (on by
-    /// default; see [`fast_path`](Self::fast_path)).
-    #[must_use]
-    pub fn with_fast_path(mut self, enabled: bool) -> Self {
-        self.fast_path = enabled;
-        self
-    }
-
-    /// Overrides the fleet cap on per-device simulation shards (see
-    /// [`max_device_shards`](Self::max_device_shards)).
-    #[must_use]
-    pub fn with_max_device_shards(mut self, max: usize) -> Self {
-        self.max_device_shards = max;
         self
     }
 
@@ -261,14 +176,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_state_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.state_dir = Some(dir.into());
-        self
-    }
-
-    /// Enables or disables the incremental sweep path (on by default;
-    /// see [`incremental_sweep`](Self::incremental_sweep)).
-    #[must_use]
-    pub fn with_incremental_sweep(mut self, enabled: bool) -> Self {
-        self.incremental_sweep = enabled;
         self
     }
 }
@@ -305,12 +212,11 @@ impl ServiceConfig {
 #[derive(Debug)]
 pub struct EstimationService {
     config: ServiceConfig,
-    cache: ShardedLruCache<JobKey, Arc<ProfiledStages>>,
+    /// The profiled stages — or the Analyzer's error — per job key.
+    cache: ShardedLruCache<JobKey, StageEntry>,
     /// In-flight dedup: concurrent misses for one key coalesce onto a
     /// single profile/analyze run.
-    flights: SingleFlight<JobKey, Result<Arc<ProfiledStages>, EstimateError>>,
-    /// TTL'd memory of Analyzer failures for degenerate jobs.
-    negative: NegativeCache<JobKey, EstimateError>,
+    flights: SingleFlight<JobKey, StageEntry>,
     /// Per-device simulation shards: one LRU of `(job key → estimate)`
     /// per device configuration, fed by the matrix / replay paths. The
     /// registry naming the devices lives in `config.registry` (there is
@@ -346,28 +252,25 @@ impl EstimationService {
     /// Creates a service.
     #[must_use]
     pub fn new(config: ServiceConfig) -> Self {
-        let tiering = config.tiering;
+        let adaptive = TieringMode::adaptive();
         let mut cache =
-            ShardedLruCache::new(config.cache_capacity, config.shards).with_tiering(tiering);
+            ShardedLruCache::new(config.cache_capacity, config.shards).with_tiering(adaptive);
         if let Some(budget) = config.cache_bytes_budget {
             cache = cache.with_bytes_budget(budget, stages_weight);
         }
-        let negative = NegativeCache::new(config.negative_ttl, config.negative_capacity);
         let sims = SimShards::new(config.cache_capacity, config.shards)
-            .with_max_devices(config.max_device_shards)
-            .with_tiering(tiering);
+            .with_max_devices(MAX_DEVICE_SHARDS);
         let replays =
-            ShardedLruCache::new(config.cache_capacity, config.shards).with_tiering(tiering);
+            ShardedLruCache::new(config.cache_capacity, config.shards).with_tiering(adaptive);
         let mut service = EstimationService {
             config,
             cache,
             flights: SingleFlight::new(),
-            negative,
             sims,
             sim_flights: SingleFlight::new(),
             replays,
             replay_flights: SingleFlight::new(),
-            params: ShardedLruCache::new(PARAM_CACHE_CAPACITY, 4).with_tiering(tiering),
+            params: ShardedLruCache::new(PARAM_CACHE_CAPACITY, 4).with_tiering(adaptive),
             param_flights: SingleFlight::new(),
             profiles: AtomicU64::new(0),
             persist: None,
@@ -424,10 +327,10 @@ impl EstimationService {
                 StateRecord::Stage { job, analyzed } => {
                     self.cache.insert(
                         job,
-                        Arc::new(ProfiledStages {
+                        Ok(Arc::new(ProfiledStages {
                             trace: None,
                             analyzed,
-                        }),
+                        })),
                     );
                     imported += 1;
                 }
@@ -506,11 +409,15 @@ impl EstimationService {
     /// predate them still recover the whole preceding prefix.
     fn export_records(&self) -> Vec<StateRecord> {
         let mut records = Vec::new();
-        for (job, stages) in self.cache.export() {
-            records.push(StateRecord::Stage {
-                job,
-                analyzed: stages.analyzed.clone(),
-            });
+        // Cached Analyzer errors are not persisted: they are cheap to
+        // rediscover (one profile run) and carry no analysis.
+        for (job, entry) in self.cache.export() {
+            if let Ok(stages) = entry {
+                records.push(StateRecord::Stage {
+                    job,
+                    analyzed: stages.analyzed.clone(),
+                });
+            }
         }
         for (job, replay) in self.replays.export() {
             records.push(StateRecord::Replay {
@@ -551,7 +458,7 @@ impl EstimationService {
             ("stage", self.cache.learned_state()),
             ("replay", self.replays.learned_state()),
             ("param", self.params.learned_state()),
-            ("sim", self.sims.learned_state()),
+            ("sim", Some(self.sims.learned_state())),
         ];
         for (cache, state) in tuners {
             if let Some((frac_permille, decay_epoch)) = state {
@@ -653,13 +560,6 @@ impl EstimationService {
         self.flights.stats()
     }
 
-    /// Negative-cache counters (hits/insertions/evictions), exposed
-    /// alongside the positive [`cache_stats`](Self::cache_stats).
-    #[must_use]
-    pub fn negative_stats(&self) -> NegativeStats {
-        self.negative.stats()
-    }
-
     /// How many times `profile_on_cpu` actually ran. Under any mix of
     /// cache hits and coalesced concurrent queries, this is at most one
     /// per distinct [`JobKey`] still covered by the cache/flight layers.
@@ -747,13 +647,14 @@ impl EstimationService {
     /// profile/analyze stages record spans into `ctx`.
     ///
     /// Concurrent misses for the same key are **single-flighted**: one
-    /// caller profiles, the rest block on its result. Analyzer failures
-    /// land in a TTL'd negative cache so degenerate jobs are not
-    /// re-profiled on every query.
+    /// caller profiles, the rest block on its result. An Analyzer
+    /// failure is as deterministic in the job key as a success, so it is
+    /// cached the same way: a degenerate job profiles once, and its
+    /// repeats are stage-cache hits answering the same error.
     ///
     /// # Errors
     /// Propagates Analyzer failures for degenerate jobs (possibly from
-    /// the negative cache).
+    /// the cache).
     pub fn stages(
         &self,
         spec: &TrainJobSpec,
@@ -762,24 +663,17 @@ impl EstimationService {
         let key = JobKey::of(spec);
         if let Some(hit) = self.cache.get(&key) {
             ctx.event("cache.stage", "hit");
-            return Ok(hit);
-        }
-        if let Some(error) = self.negative.get(&key) {
-            ctx.event("cache.negative", "hit");
-            return Err(error);
+            return hit;
         }
         ctx.event("cache.stage", "miss");
         let mut leader = false;
         let result = self.flights.run(&key, || {
             leader = true;
             // Winning leadership races a just-retired flight for the same
-            // key: its leader published before retiring, so re-check both
-            // caches before paying for a profile run.
+            // key: its leader published before retiring, so re-check the
+            // cache before paying for a profile run.
             if let Some(hit) = self.cache.peek(&key) {
-                return Ok(hit);
-            }
-            if let Some(error) = self.negative.get(&key) {
-                return Err(error);
+                return hit;
             }
             self.profiles.fetch_add(1, Ordering::Relaxed);
             let trace = {
@@ -787,31 +681,23 @@ impl EstimationService {
                 profile_on_cpu(spec)
             };
             let mut analyze = ctx.span("stage.analyze");
-            match Analyzer::new().analyze(&trace) {
-                Ok(analyzed) => {
-                    analyze.set_outcome("ok");
-                    drop(analyze);
-                    let stages = Arc::new(ProfiledStages {
-                        trace: self.config.retain_traces.then_some(trace),
-                        analyzed,
-                    });
-                    self.cache.insert(key.clone(), Arc::clone(&stages));
-                    if let Some(persister) = &self.persist {
-                        persister.append(&StateRecord::Stage {
-                            job: key.clone(),
-                            analyzed: stages.analyzed.clone(),
-                        });
-                        ctx.event("persist.journal", "stage");
-                    }
-                    Ok(stages)
-                }
-                Err(error) => {
-                    analyze.set_outcome("error");
-                    drop(analyze);
-                    self.negative.insert(key.clone(), error.clone());
-                    Err(error)
-                }
+            let entry = Analyzer::new().analyze(&trace).map(|analyzed| {
+                Arc::new(ProfiledStages {
+                    trace: Some(trace),
+                    analyzed,
+                })
+            });
+            analyze.set_outcome(if entry.is_ok() { "ok" } else { "error" });
+            drop(analyze);
+            self.cache.insert(key.clone(), entry.clone());
+            if let (Ok(stages), Some(persister)) = (&entry, &self.persist) {
+                persister.append(&StateRecord::Stage {
+                    job: key.clone(),
+                    analyzed: stages.analyzed.clone(),
+                });
+                ctx.event("persist.journal", "stage");
             }
+            entry
         });
         if !leader {
             ctx.event("flight.stage", "coalesced");
@@ -845,8 +731,7 @@ impl EstimationService {
     /// per-device simulation shard, under the paper-default
     /// [`EstimatorConfig::for_device`] for `device`.
     ///
-    /// **Pressure-aware fast path** (unless
-    /// [`ServiceConfig::fast_path`] is off): the job replays *once* on an
+    /// **Pressure-aware fast path**: the job replays *once* on an
     /// unbounded simulator (cached per [`JobKey`]), and any device whose
     /// usable capacity covers that replay's segment peak derives its cell
     /// in O(1) — only capacity-pressured devices, where reclaim/OOM can
@@ -892,18 +777,12 @@ impl EstimationService {
             }
             let mut replay_span = ctx.span("sim.replay");
             let estimator = Estimator::new(EstimatorConfig::for_device(device));
-            let derived = self
-                .config
-                .fast_path
-                .then(|| {
-                    let replay = if seed {
-                        Some(self.unbounded_replay(key, stages, &estimator, ctx))
-                    } else {
-                        self.replays.peek(key)
-                    };
-                    replay.and_then(|replay| estimator.derive_from_replay(&replay))
-                })
-                .flatten();
+            let replay = if seed {
+                Some(self.unbounded_replay(key, stages, &estimator, ctx))
+            } else {
+                self.replays.peek(key)
+            };
+            let derived = replay.and_then(|replay| estimator.derive_from_replay(&replay));
             self.sims.count_run();
             let estimate = match derived {
                 Some(estimate) => {
@@ -915,7 +794,7 @@ impl EstimationService {
                     self.sims.count_full_replay();
                     replay_span.set_outcome("full-replay");
                     let (estimate, replay) = estimator.estimate_and_replay(&stages.analyzed);
-                    if let (true, Some(replay)) = (self.config.fast_path, replay) {
+                    if let Some(replay) = replay {
                         self.keep_replay(key, Arc::new(replay), ctx);
                     }
                     estimate
@@ -1004,11 +883,9 @@ impl EstimationService {
     /// many distinct batches the caller will probe in that range: below
     /// [`MIN_INCREMENTAL_POINTS`] the three-anchor fit cannot win, so the
     /// caller keeps the per-batch path. `None` also means the family is
-    /// ineligible: the incremental path is disabled
-    /// ([`ServiceConfig::incremental_sweep`]), the fit was rejected (the
-    /// delta model could not be proven exact), or an anchor failed to
-    /// profile — callers fall back to the per-batch path, where errors
-    /// surface per-cell.
+    /// ineligible: the fit was rejected (the delta model could not be
+    /// proven exact), or an anchor failed to profile — callers fall back
+    /// to the per-batch path, where errors surface per-cell.
     fn param_for(
         &self,
         base: &TrainJobSpec,
@@ -1017,7 +894,7 @@ impl EstimationService {
         points: usize,
         ctx: &TraceContext,
     ) -> Option<Arc<ParamReplay>> {
-        if !self.config.incremental_sweep || points < MIN_INCREMENTAL_POINTS || lo == 0 {
+        if points < MIN_INCREMENTAL_POINTS || lo == 0 {
             return None;
         }
         let family = SweepKey::of(base);
@@ -1320,8 +1197,7 @@ impl EstimationService {
     /// repeated sweep — or a later [`estimate`](Self::estimate) of any
     /// point — simulates nothing.
     ///
-    /// A qualifying sweep (≥ 4 distinct batches, see
-    /// [`ServiceConfig::incremental_sweep`]) takes the **incremental
+    /// A qualifying sweep (≥ 4 distinct batches) takes the **incremental
     /// path**: three anchor batches profile and pin one parameterized
     /// replay, and every cell — anchors included — is materialized from
     /// it in ~O(events) with no further profiling. The fit is proven
@@ -1490,8 +1366,8 @@ impl AsyncServiceConfig {
 /// [`EstimationService`], so everything the blocking service guarantees
 /// carries over: estimates are bit-identical to the sequential
 /// [`Estimator`](xmem_core::Estimator), concurrent identical queries
-/// single-flight onto one profile run, and degenerate jobs are answered
-/// from the negative cache.
+/// single-flight onto one profile run, and a degenerate job's cached
+/// error answers its repeats.
 ///
 /// Three controls make it safe under scheduler-scale load:
 /// * **Backpressure** — the submission queue is bounded; a full queue
@@ -1559,8 +1435,8 @@ impl AsyncEstimationService {
     }
 
     /// Wraps an existing (possibly shared) blocking service — the async
-    /// and blocking front ends then share one cache, single-flight table
-    /// and negative cache. `workers` = 0 uses all cores.
+    /// and blocking front ends then share one cache and single-flight
+    /// table. `workers` = 0 uses all cores.
     #[must_use]
     pub fn from_service(
         service: Arc<EstimationService>,
@@ -1692,6 +1568,16 @@ mod tests {
             .estimate_job(&spec)
             .unwrap();
         assert_eq!(from_service, sequential);
+        let stages = service.stages(&spec, &TraceContext::disabled()).unwrap();
+        let trace = stages
+            .trace
+            .as_ref()
+            .expect("the stage cache keeps the raw trace");
+        assert_eq!(
+            stages.approx_bytes(),
+            trace.approx_bytes() + stages.analyzed.approx_bytes(),
+            "the retained trace is priced into the entry"
+        );
     }
 
     #[test]
@@ -1786,33 +1672,6 @@ mod tests {
             stats.sim_runs
         );
         assert_eq!(service.profile_runs(), 3, "anchors only");
-    }
-
-    #[test]
-    fn disabled_incremental_sweep_is_bit_identical() {
-        let incremental = EstimationService::for_device(GpuDevice::rtx3060());
-        let legacy = EstimationService::new(
-            ServiceConfig::for_device(GpuDevice::rtx3060()).with_incremental_sweep(false),
-        );
-        let batches = [1, 2, 4, 8, 12];
-        let a = incremental.sweep(
-            &small_spec(1),
-            &batches,
-            GpuDevice::rtx3060(),
-            &TraceContext::disabled(),
-        );
-        let b = legacy.sweep(
-            &small_spec(1),
-            &batches,
-            GpuDevice::rtx3060(),
-            &TraceContext::disabled(),
-        );
-        for ((b1, e1), (b2, e2)) in a.iter().zip(&b) {
-            assert_eq!(b1, b2);
-            assert_eq!(e1.as_ref().unwrap(), e2.as_ref().unwrap());
-        }
-        assert_eq!(legacy.sim_stats().param_replays, 0);
-        assert_eq!(legacy.profile_runs(), batches.len() as u64);
     }
 
     #[test]
@@ -1914,30 +1773,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_fast_path_pays_full_replays_and_stays_identical() {
-        let jobs = [small_spec(4), small_spec(8)];
-        let devices = ["rtx3060", "rtx4060"];
-        let fast = EstimationService::for_device(GpuDevice::rtx3060());
-        let full = EstimationService::new(
-            ServiceConfig::for_device(GpuDevice::rtx3060()).with_fast_path(false),
-        );
-        let fast_matrix = fast
-            .estimate_matrix(&jobs, &devices, &TraceContext::disabled())
-            .unwrap();
-        let full_matrix = full
-            .estimate_matrix(&jobs, &devices, &TraceContext::disabled())
-            .unwrap();
-        assert_eq!(fast_matrix, full_matrix, "fast path must be bit-identical");
-        let stats = full.sim_stats();
-        assert_eq!(stats.fast_path_hits, 0);
-        assert_eq!(stats.unbounded_replays, 0);
-        assert_eq!(stats.full_replays, stats.sim_runs);
-        let stats = fast.sim_stats();
-        assert_eq!(stats.fast_path_hits, stats.sim_runs);
-        assert_eq!(stats.fast_path_hits + stats.full_replays, stats.sim_runs);
-    }
-
-    #[test]
     fn admission_probes_use_but_never_seed_the_replay_cache() {
         let device = GpuDevice::rtx3060();
         let service = EstimationService::for_device(device);
@@ -1975,31 +1810,6 @@ mod tests {
         let stats = service.sim_stats();
         assert_eq!(stats.param_replays, 0, "range too narrow for a fit");
         assert_eq!(stats.full_replays, stats.sim_runs);
-    }
-
-    #[test]
-    fn trace_retention_opt_out_drops_traces_but_not_accuracy() {
-        let retaining = EstimationService::for_device(GpuDevice::rtx3060());
-        let dropping = EstimationService::new(
-            ServiceConfig::for_device(GpuDevice::rtx3060()).with_trace_retention(false),
-        );
-        let spec = small_spec(8);
-        let with_trace = retaining.stages(&spec, &TraceContext::disabled()).unwrap();
-        let without_trace = dropping.stages(&spec, &TraceContext::disabled()).unwrap();
-        assert!(with_trace.trace.is_some());
-        assert!(without_trace.trace.is_none());
-        assert!(
-            without_trace.approx_bytes() < with_trace.approx_bytes(),
-            "dropping the trace must shrink the entry's cache cost"
-        );
-        assert_eq!(
-            retaining
-                .estimate(&spec, GpuDevice::rtx3060(), &TraceContext::disabled())
-                .unwrap(),
-            dropping
-                .estimate(&spec, GpuDevice::rtx3060(), &TraceContext::disabled())
-                .unwrap()
-        );
     }
 
     #[test]

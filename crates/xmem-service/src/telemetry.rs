@@ -41,12 +41,11 @@ pub const TRACE_HEADER: &str = "x-xmem-trace-id";
 /// Every span name the service records. Fixed so the `stage` label set
 /// on the Prometheus histograms is bounded; unknown names (from future
 /// callers) collapse into `"other"`.
-pub const STAGE_NAMES: [&str; 15] = [
+pub const STAGE_NAMES: [&str; 14] = [
     "pool.queue",
     "service.call",
     "cache.stage",
     "cache.sim",
-    "cache.negative",
     "flight.stage",
     "stage.profile",
     "stage.analyze",

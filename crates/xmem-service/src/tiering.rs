@@ -58,7 +58,8 @@ pub enum TieringMode {
     Static(f64),
     /// Self-tuning SLRU: frequency-sketch admission, ghost lists, and a
     /// hill-climbing tuner that learns the split online, starting from
-    /// `initial_frac`. The service default.
+    /// `initial_frac`. Every cache tier of the estimation service runs
+    /// this mode.
     Adaptive {
         /// Protected fraction the tuner starts from (clamped to the
         /// tuner's floor/ceiling).
@@ -66,11 +67,16 @@ pub enum TieringMode {
     },
 }
 
+/// The protected fraction [`TieringMode::adaptive`] starts from.
+pub(crate) const ADAPTIVE_INITIAL_FRAC: f64 = 0.5;
+
 impl TieringMode {
     /// The default adaptive mode: tuning enabled, starting half/half.
     #[must_use]
     pub const fn adaptive() -> Self {
-        TieringMode::Adaptive { initial_frac: 0.5 }
+        TieringMode::Adaptive {
+            initial_frac: ADAPTIVE_INITIAL_FRAC,
+        }
     }
 }
 

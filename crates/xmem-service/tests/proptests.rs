@@ -605,13 +605,10 @@ fn eviction_and_recomputation_reproduce_identical_estimates() {
     use xmem_runtime::GpuDevice;
     use xmem_service::{EstimationService, ServiceConfig};
 
-    // Capacity 1 over 1 shard with plain LRU (the adaptive admission
-    // gate would deny the second key instead): the second spec always
-    // evicts the first.
+    // Capacity 1 over 1 shard: once admitted, the second spec evicts the
+    // first.
     let device = GpuDevice::rtx3060();
-    let mut config = ServiceConfig::for_device(device)
-        .with_cache_capacity(1)
-        .with_tiering(xmem_service::TieringMode::Off);
+    let mut config = ServiceConfig::for_device(device).with_cache_capacity(1);
     config.shards = 1;
     let service = EstimationService::new(config);
 
@@ -621,13 +618,26 @@ fn eviction_and_recomputation_reproduce_identical_estimates() {
     let first_a = service
         .estimate(&a, device, &TraceContext::disabled())
         .unwrap();
-    let _ = service
-        .estimate(&b, device, &TraceContext::disabled())
-        .unwrap(); // evicts a
-    let second_a = service
-        .estimate(&a, device, &TraceContext::disabled())
-        .unwrap(); // recomputed
+    // The adaptive admission gate refuses a key no more frequent than
+    // the resident one, so repeat `b` until it is admitted over `a`.
+    for _ in 0..8 {
+        let _ = service.stages(&b, &TraceContext::disabled()).unwrap();
+        if service.cache_stats().evictions > 0 {
+            break;
+        }
+    }
+    assert_eq!(service.cache_stats().evictions, 1, "b must evict a");
+    let profiles = service.profile_runs();
+    let stages_a = service.stages(&a, &TraceContext::disabled()).unwrap(); // recomputed
+    assert_eq!(service.profile_runs(), profiles + 1, "a was re-profiled");
+    let second_a =
+        Estimator::new(EstimatorConfig::for_device(device)).estimate_analyzed(&stages_a.analyzed);
     assert_eq!(first_a.peak_bytes, second_a.peak_bytes);
     assert_eq!(first_a, second_a);
-    assert!(service.cache_stats().evictions >= 1);
+    assert_eq!(
+        service
+            .estimate(&a, device, &TraceContext::disabled())
+            .unwrap(),
+        first_a
+    );
 }

@@ -375,16 +375,13 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let inner = service.service();
     let cache = inner.cache_stats();
     let flights = inner.flight_stats();
-    let negative = inner.negative_stats();
     println!(
         "cache: {} hits, {} misses | single-flight: {} executions, {} coalesced | \
-         negative: {} hits, {} insertions | profile runs: {}",
+         profile runs: {}",
         cache.hits,
         cache.misses,
         flights.executions,
         flights.coalesced,
-        negative.hits,
-        negative.insertions,
         inner.profile_runs()
     );
     // Per-job failures are reported in the table above, but the process

@@ -1,13 +1,12 @@
-//! The pressure-aware fast-path differential suite: every matrix cell a
-//! fast-path service produces must be **bit-identical** to a service with
-//! the fast path forced off (full stateful replays) and to the sequential
-//! `Estimator` — across roomy fleets (where every cell is derived from
-//! one unbounded replay), pressured fleets (where reclaim/OOM divergence
-//! forces full replays), and deterministic pseudo-random fleets with
-//! page-unaligned capacities. The counters must prove the replay-strategy
-//! split exactly: `fast_path_hits + full_replays == sim_runs`, and an
-//! all-roomy fleet performs **zero** full replays after the one unbounded
-//! replay per job.
+//! The pressure-aware fast-path differential suite: every matrix cell the
+//! service produces must be **bit-identical** to the sequential
+//! `Estimator` (one full stateful replay per cell) — across roomy fleets
+//! (where every cell is derived from one unbounded replay), pressured
+//! fleets (where reclaim/OOM divergence forces full replays), and
+//! deterministic pseudo-random fleets with page-unaligned capacities. The
+//! counters must prove the replay-strategy split exactly:
+//! `fast_path_hits + full_replays == sim_runs`, and an all-roomy fleet
+//! performs **zero** full replays after the one unbounded replay per job.
 
 use xmem::prelude::*;
 use xmem::service::ServiceConfig;
@@ -20,47 +19,40 @@ fn job_grid() -> Vec<TrainJobSpec> {
     ]
 }
 
-/// A pair of services over the same fleet: one with the fast path (the
-/// default), one with it forced off.
-fn service_pair(fleet: &[(&str, GpuDevice)]) -> (EstimationService, EstimationService) {
-    let build = |fast: bool| {
-        let registry = DeviceRegistry::empty();
-        for &(name, device) in fleet {
-            registry.register(name, device);
-        }
-        EstimationService::new(
-            ServiceConfig::for_device(GpuDevice::rtx3060())
-                .with_registry(registry)
-                .with_fast_path(fast),
-        )
-    };
-    (build(true), build(false))
+/// A service whose registry is exactly `fleet`.
+fn service_over(fleet: &[(&str, GpuDevice)]) -> EstimationService {
+    let registry = DeviceRegistry::empty();
+    for &(name, device) in fleet {
+        registry.register(name, device);
+    }
+    EstimationService::new(ServiceConfig::for_device(GpuDevice::rtx3060()).with_registry(registry))
 }
 
-fn assert_matrices_identical(fleet: &[(&str, GpuDevice)], jobs: &[TrainJobSpec]) {
-    let (fast, full) = service_pair(fleet);
-    let names: Vec<&str> = fleet.iter().map(|&(name, _)| name).collect();
-    let fast_matrix = fast
-        .estimate_matrix(jobs, &names, &TraceContext::disabled())
-        .expect("names resolve");
-    let full_matrix = full
-        .estimate_matrix(jobs, &names, &TraceContext::disabled())
-        .expect("names resolve");
-    assert_eq!(
-        fast_matrix, full_matrix,
-        "fast-path matrix diverged from forced full replays"
-    );
+/// The sequential ground truth: a fresh per-device `Estimator` over a
+/// fresh profile run, one full stateful replay.
+fn sequential(spec: &TrainJobSpec, device: GpuDevice) -> Estimate {
+    Estimator::new(EstimatorConfig::for_device(device))
+        .estimate_job(spec)
+        .expect("sequential estimate succeeds")
+}
 
-    // Cell-level anchor against the sequential estimator (covers the
-    // whole pipeline, not just service-vs-service agreement).
-    for (row, spec) in fast_matrix.rows.iter().zip(jobs) {
-        for (name, device) in fleet {
-            let sequential = Estimator::new(EstimatorConfig::for_device(*device))
-                .estimate_job(spec)
-                .expect("sequential estimate succeeds");
+/// Runs the `jobs` × `fleet` matrix on a fresh service, checks every cell
+/// against the sequential estimator and the strategy split, and returns
+/// the service for further counter checks.
+fn assert_matrix_matches_sequential(
+    fleet: &[(&str, GpuDevice)],
+    jobs: &[TrainJobSpec],
+) -> EstimationService {
+    let service = service_over(fleet);
+    let names: Vec<&str> = fleet.iter().map(|&(name, _)| name).collect();
+    let matrix = service
+        .estimate_matrix(jobs, &names, &TraceContext::disabled())
+        .expect("names resolve");
+    for (row, spec) in matrix.rows.iter().zip(jobs) {
+        for &(name, device) in fleet {
             assert_eq!(
                 row.cell(name).expect("cell").estimate.as_ref().unwrap(),
-                &sequential,
+                &sequential(spec, device),
                 "cell ({}, {name}) diverged from the sequential estimator",
                 spec.label()
             );
@@ -68,12 +60,10 @@ fn assert_matrices_identical(fleet: &[(&str, GpuDevice)], jobs: &[TrainJobSpec])
     }
 
     // The strategy split is exact and exhaustive.
-    let stats = fast.sim_stats();
+    let stats = service.sim_stats();
     assert_eq!(stats.fast_path_hits + stats.full_replays, stats.sim_runs);
-    let stats = full.sim_stats();
-    assert_eq!(stats.fast_path_hits, 0, "disabled fast path must not fire");
-    assert_eq!(stats.unbounded_replays, 0);
-    assert_eq!(stats.full_replays, stats.sim_runs);
+    assert_eq!(stats.sim_runs, (jobs.len() * fleet.len()) as u64);
+    service
 }
 
 #[test]
@@ -102,13 +92,7 @@ fn roomy_fleet_is_identical_with_zero_full_replays() {
         ("roomy-a100", GpuDevice::a100_40g()),
     ];
     let jobs = job_grid();
-    assert_matrices_identical(&fleet, &jobs);
-
-    let (fast, _) = service_pair(&fleet);
-    let names: Vec<&str> = fleet.iter().map(|&(n, _)| n).collect();
-    fast.estimate_matrix(&jobs, &names, &TraceContext::disabled())
-        .expect("names resolve");
-    let stats = fast.sim_stats();
+    let stats = assert_matrix_matches_sequential(&fleet, &jobs).sim_stats();
     assert_eq!(
         stats.full_replays, 0,
         "an all-roomy fleet pays no bounded replay at all"
@@ -144,13 +128,7 @@ fn pressured_fleet_splits_strategies_but_never_diverges() {
         ("roomy", GpuDevice::a100_40g()),
     ];
     let jobs = job_grid();
-    assert_matrices_identical(&fleet, &jobs);
-
-    let (fast, _) = service_pair(&fleet);
-    let names: Vec<&str> = fleet.iter().map(|&(n, _)| n).collect();
-    fast.estimate_matrix(&jobs, &names, &TraceContext::disabled())
-        .expect("names resolve");
-    let stats = fast.sim_stats();
+    let stats = assert_matrix_matches_sequential(&fleet, &jobs).sim_stats();
     assert!(
         stats.full_replays > 0,
         "pressured devices must pay full replays"
@@ -194,7 +172,7 @@ fn pseudo_random_fleets_are_identical_across_strategies() {
                 )
             })
             .collect();
-        assert_matrices_identical(&fleet, &jobs);
+        assert_matrix_matches_sequential(&fleet, &jobs);
     }
 }
 
@@ -205,35 +183,40 @@ fn placement_and_admission_agree_across_strategies() {
         ("rtx4060", GpuDevice::rtx4060()),
         ("a100", GpuDevice::a100_40g()),
     ];
-    let (fast, full) = service_pair(&fleet);
+    let service = service_over(&fleet);
     for spec in job_grid() {
+        // Best fit, sequentially: the smallest-capacity device whose
+        // estimate predicts no OOM (the stable sort keeps registry name
+        // order within equal capacities).
+        let mut by_capacity = service.registry().snapshot();
+        by_capacity.sort_by_key(|&(_, device)| device.capacity);
+        let expected = by_capacity.into_iter().find_map(|(device, config)| {
+            let estimate = sequential(&spec, config);
+            (!estimate.oom_predicted).then_some(DevicePlacement { device, estimate })
+        });
         assert_eq!(
-            fast.best_device_for_job(&spec, &TraceContext::disabled())
+            service
+                .best_device_for_job(&spec, &TraceContext::disabled())
                 .expect("estimates"),
-            full.best_device_for_job(&spec, &TraceContext::disabled())
-                .expect("estimates"),
+            expected,
             "placement diverged for {}",
             spec.label()
         );
     }
+    // The admission answer is the sequential fit/OOM frontier: the
+    // reported batch fits and the next one does not.
     let base = TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 1).with_iterations(2);
-    assert_eq!(
-        fast.max_batch_for_device(
-            &base,
-            GpuDevice::rtx4060(),
-            1,
-            32,
-            &TraceContext::disabled()
-        )
-        .expect("estimates"),
-        full.max_batch_for_device(
-            &base,
-            GpuDevice::rtx4060(),
-            1,
-            32,
-            &TraceContext::disabled()
-        )
-        .expect("estimates"),
-        "admission-control answer diverged"
-    );
+    let device = GpuDevice::rtx4060();
+    let max = service
+        .max_batch_for_device(&base, device, 1, 64, &TraceContext::disabled())
+        .expect("estimates")
+        .expect("batch 1 fits");
+    assert!(max < 64, "the range must bracket an interior frontier");
+    let at = |batch: usize| {
+        let mut spec = base.clone();
+        spec.batch = batch;
+        sequential(&spec, device)
+    };
+    assert!(!at(max).oom_predicted, "admission answer {max} must fit");
+    assert!(at(max + 1).oom_predicted, "batch {} must not fit", max + 1);
 }

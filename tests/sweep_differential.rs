@@ -1,10 +1,8 @@
 //! The incremental-sweep differential suite: every cell an incremental
 //! (parameterized-replay) sweep produces must be **bit-identical** to the
-//! sequential per-batch `Estimator` and to a service with the incremental
-//! path forced off — across roomy and pressured devices (each cell one
-//! bounded replay of the materialized buffer) and deterministic
-//! pseudo-random fleets
-//! with page-unaligned capacities. The counters must prove the contract
+//! sequential per-batch `Estimator` — across roomy and pressured devices
+//! (each cell one bounded replay of the materialized buffer) and
+//! deterministic pseudo-random fleets with page-unaligned capacities. The counters must prove the contract
 //! exactly: a B-point sweep performs **one** parameterized fit from three
 //! anchor profiles, every cell counts as `incremental_cells`, and
 //! `fast_path_hits + full_replays + incremental_cells == sim_runs`.
@@ -35,8 +33,6 @@ fn sequential_cell(spec: &TrainJobSpec, device: GpuDevice) -> Estimate {
         .expect("sequential estimate succeeds")
 }
 
-/// A pair of services over the same fleet: one with the incremental
-/// sweep (the default), one with it forced off.
 /// Sweeps `base` over [`BATCHES`] once per fleet device, in fleet order.
 fn sweep_fleet(
     service: &EstimationService,
@@ -49,19 +45,29 @@ fn sweep_fleet(
         .collect()
 }
 
-fn service_pair(fleet: &[(&str, GpuDevice)]) -> (EstimationService, EstimationService) {
-    let build = |incremental: bool| {
-        let registry = DeviceRegistry::empty();
-        for &(name, device) in fleet {
-            registry.register(name, device);
-        }
-        EstimationService::new(
-            ServiceConfig::for_device(GpuDevice::rtx3060())
-                .with_registry(registry)
-                .with_incremental_sweep(incremental),
-        )
-    };
-    (build(true), build(false))
+/// The sequential ground truth for [`sweep_fleet`]: every cell from a
+/// fresh per-device `Estimator` over a fresh profile of its batch.
+fn sequential_fleet(
+    base: &TrainJobSpec,
+    fleet: &[(&str, GpuDevice)],
+) -> Vec<Vec<(usize, Result<Estimate, EstimateError>)>> {
+    fleet
+        .iter()
+        .map(|&(_, device)| {
+            BATCHES
+                .iter()
+                .map(|&batch| (batch, Ok(sequential_cell(&job_at(base, batch), device))))
+                .collect()
+        })
+        .collect()
+}
+
+fn service_over(fleet: &[(&str, GpuDevice)]) -> EstimationService {
+    let registry = DeviceRegistry::empty();
+    for &(name, device) in fleet {
+        registry.register(name, device);
+    }
+    EstimationService::new(ServiceConfig::for_device(GpuDevice::rtx3060()).with_registry(registry))
 }
 
 #[test]
@@ -143,15 +149,9 @@ fn per_device_sweeps_are_identical_across_roomy_and_pressured_devices() {
         ),
     ];
     let base = base_job();
-    let (incremental, full) = service_pair(&fleet);
+    let service = service_over(&fleet);
 
-    let inc_sweeps = sweep_fleet(&incremental, &base, &fleet);
-    assert_eq!(
-        inc_sweeps,
-        sweep_fleet(&full, &base, &fleet),
-        "incremental sweeps diverged from per-batch profiling"
-    );
-
+    let inc_sweeps = sweep_fleet(&service, &base, &fleet);
     // Cell-level anchor against the sequential estimator.
     for (cells, &(name, device)) in inc_sweeps.iter().zip(&fleet) {
         for ((batch, estimate), &expected_batch) in cells.iter().zip(&BATCHES) {
@@ -164,11 +164,9 @@ fn per_device_sweeps_are_identical_across_roomy_and_pressured_devices() {
         }
     }
 
-    // Counters: the incremental service profiled only the anchors; the
-    // forced-off service profiled every batch.
-    assert_eq!(incremental.profile_runs(), 3);
-    assert_eq!(full.profile_runs(), BATCHES.len() as u64);
-    let sims = incremental.sim_stats();
+    // Counters: the service profiled only the anchors.
+    assert_eq!(service.profile_runs(), 3);
+    let sims = service.sim_stats();
     assert_eq!(sims.param_replays, 1);
     assert_eq!(sims.incremental_cells, (BATCHES.len() * fleet.len()) as u64);
     assert_eq!(
@@ -206,38 +204,52 @@ fn pseudo_random_fleets_agree_across_sweep_strategies() {
                 )
             })
             .collect();
-        let (incremental, full) = service_pair(&fleet);
+        let service = service_over(&fleet);
         assert_eq!(
-            sweep_fleet(&incremental, &base, &fleet),
-            sweep_fleet(&full, &base, &fleet),
-            "sweep strategies diverged on a pseudo-random fleet"
+            sweep_fleet(&service, &base, &fleet),
+            sequential_fleet(&base, &fleet),
+            "incremental sweeps diverged from the sequential estimator on a pseudo-random fleet"
         );
-        assert_eq!(incremental.profile_runs(), 3);
-        assert_eq!(full.profile_runs(), BATCHES.len() as u64);
+        assert_eq!(service.profile_runs(), 3);
     }
 }
 
 #[test]
 fn admission_bisection_agrees_across_sweep_strategies() {
-    // The admission answer must be strategy-independent on a device the
-    // model actually pressures (the bisection brackets an interior OOM
-    // boundary, so probes mix fitting and OOMing batches).
+    // The admission answer must match the sequential estimator on a
+    // device the model actually pressures (the bisection brackets an
+    // interior OOM boundary, so probes mix fitting and OOMing batches).
     let base = TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 1).with_iterations(2);
-    let (incremental, full) = service_pair(&[]);
-    let device = GpuDevice::rtx4060();
-    let inc_answer = incremental
+    let service = service_over(&[]);
+    // 4 GiB: DistilGpt2's fit/OOM frontier falls inside [1, 32].
+    let device = GpuDevice {
+        name: "sweep-4g",
+        capacity: 4 << 30,
+        framework_bytes: 512 << 20,
+        init_bytes: 0,
+    };
+    let max = service
         .max_batch_for_device(&base, device, 1, 32, &TraceContext::disabled())
-        .expect("estimates");
-    let full_answer = full
-        .max_batch_for_device(&base, device, 1, 32, &TraceContext::disabled())
-        .expect("estimates");
-    assert_eq!(inc_answer, full_answer, "admission-control answer diverged");
+        .expect("estimates")
+        .expect("batch 1 fits");
+    // The answer is the sequential fit/OOM frontier: the reported batch
+    // fits and the next one does not.
+    assert!(max < 32, "the range must bracket an interior frontier");
+    assert!(
+        !sequential_cell(&job_at(&base, max), device).oom_predicted,
+        "admission answer {max} must fit"
+    );
+    assert!(
+        sequential_cell(&job_at(&base, max + 1), device).oom_predicted,
+        "batch {} must not fit",
+        max + 1
+    );
     assert_eq!(
-        incremental.profile_runs(),
+        service.profile_runs(),
         3,
         "incremental admission profiles exactly the 3 anchors, however many batches the bisection probes"
     );
-    let sims = incremental.sim_stats();
+    let sims = service.sim_stats();
     assert_eq!(sims.param_replays, 1);
     assert_eq!(sims.full_replays, 0);
     assert_eq!(

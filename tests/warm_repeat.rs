@@ -5,7 +5,9 @@
 //! estimate, named-device estimate, matrix, sweep (incremental and
 //! per-batch), plan and best-device. Front ends: the blocking service,
 //! the async `submit`, HTTP through an in-process server, and a request
-//! forwarded inside a 2-node in-process cluster.
+//! forwarded inside a 2-node in-process cluster. A degenerate job, which
+//! the Analyzer rejects, is free to repeat too on the first three front
+//! ends: its repeat answers the same error and profiles nothing.
 
 use std::sync::Arc;
 use xmem::core::EstimateError;
@@ -20,6 +22,12 @@ const TOKEN: &str = "warm-repeat-secret";
 
 fn spec(batch: usize) -> TrainJobSpec {
     TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, batch).with_iterations(2)
+}
+
+/// A job the Analyzer rejects: zero profiled iterations leave the trace
+/// without iteration markers.
+fn degenerate() -> TrainJobSpec {
+    spec(4).with_iterations(0)
 }
 
 fn job_json(spec: &TrainJobSpec) -> String {
@@ -37,6 +45,9 @@ enum Route {
     ShortSweep,
     Plan,
     BestDevice,
+    /// A primary-device estimate of [`degenerate`]: an error, never a
+    /// simulation, so it is not in [`ROUTES`].
+    Degenerate,
 }
 
 const ROUTES: [Route; 7] = [
@@ -92,6 +103,9 @@ impl Route {
             Route::BestDevice => {
                 api::placement_body(service.best_device_for_job(&spec(8), ctx)?.as_ref())
             }
+            Route::Degenerate => {
+                api::estimate_body(&service.estimate(&degenerate(), service.device(None)?, ctx)?)
+            }
         })
     }
 
@@ -126,6 +140,7 @@ impl Route {
                 ),
             ),
             Route::BestDevice => ("/v1/best-device", job_json(&spec(8))),
+            Route::Degenerate => ("/v1/estimate", job_json(&degenerate())),
         }
     }
 }
@@ -183,6 +198,37 @@ fn assert_warm_repeat_is_free(
     );
 }
 
+/// Sends [`Route::Degenerate`] twice through `send`: the first answer is
+/// the error `is_error` recognizes, paid for with one profile run, and the
+/// repeat answers it again from the stage cache without profiling.
+fn assert_failed_repeat_is_free<T: PartialEq + std::fmt::Debug>(
+    front_end: &str,
+    service: &EstimationService,
+    is_error: impl Fn(&T) -> bool,
+    mut send: impl FnMut() -> T,
+) {
+    let first = send();
+    assert!(
+        is_error(&first),
+        "{front_end}: a degenerate job must fail, got {first:?}"
+    );
+    assert_eq!(
+        service.profile_runs(),
+        1,
+        "{front_end}: the first request profiles once"
+    );
+    let second = send();
+    assert_eq!(
+        second, first,
+        "{front_end}: the repeat answered differently"
+    );
+    assert_eq!(
+        service.profile_runs(),
+        1,
+        "{front_end}: the repeat re-profiled"
+    );
+}
+
 #[test]
 fn blocking_service_repeats_are_free() {
     for route in ROUTES {
@@ -193,6 +239,13 @@ fn blocking_service_repeats_are_free() {
                 .expect("route answers")
         });
     }
+    let service = EstimationService::for_device(GpuDevice::rtx3060());
+    assert_failed_repeat_is_free(
+        "sync",
+        &service,
+        |answer| answer == &Err(EstimateError::MissingIterations),
+        || Route::Degenerate.call(&service, &TraceContext::disabled()),
+    );
 }
 
 #[test]
@@ -209,6 +262,20 @@ fn async_submit_repeats_are_free() {
                 .expect("route answers")
         });
     }
+    let service = AsyncEstimationService::for_device(GpuDevice::rtx3060());
+    assert_failed_repeat_is_free(
+        "async",
+        service.service(),
+        |answer| answer == &Err(EstimateError::MissingIterations),
+        || {
+            service
+                .submit(None, &TraceContext::disabled(), |s, ctx| {
+                    Route::Degenerate.call(s, ctx)
+                })
+                .expect("queue has room")
+                .wait()
+        },
+    );
 }
 
 fn start_server() -> (ServerHandle, Arc<AsyncEstimationService>) {
@@ -220,8 +287,8 @@ fn start_server() -> (ServerHandle, Arc<AsyncEstimationService>) {
     (server, service)
 }
 
-/// One authenticated POST; the response body, which must be a `200`.
-fn post(client: &mut HttpClient, path: &str, body: &str) -> String {
+/// One authenticated POST; the response status and body.
+fn post_any(client: &mut HttpClient, path: &str, body: &str) -> (u16, String) {
     let response = client
         .request(
             "POST",
@@ -230,8 +297,14 @@ fn post(client: &mut HttpClient, path: &str, body: &str) -> String {
             body.as_bytes(),
         )
         .expect("exchange completes");
-    assert_eq!(response.status, 200, "{path}: {}", response.text());
-    response.text().into_owned()
+    (response.status, response.text().into_owned())
+}
+
+/// One authenticated POST; the response body, which must be a `200`.
+fn post(client: &mut HttpClient, path: &str, body: &str) -> String {
+    let (status, text) = post_any(client, path, body);
+    assert_eq!(status, 200, "{path}: {text}");
+    text
 }
 
 #[test]
@@ -245,6 +318,16 @@ fn http_repeats_are_free() {
         });
         assert!(server.shutdown().clean);
     }
+    let (server, service) = start_server();
+    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+    let (path, body) = Route::Degenerate.http();
+    assert_failed_repeat_is_free(
+        "http",
+        service.service(),
+        |(status, text): &(u16, String)| *status == 422 && text.contains("missing_iterations"),
+        || post_any(&mut client, path, &body),
+    );
+    assert!(server.shutdown().clean);
 }
 
 /// The value of an unlabelled Prometheus counter in `metrics`.
